@@ -16,7 +16,8 @@
 //! devices (as in classic Parity Logging).
 
 use rolo_bench::{expect_consistent, write_results};
-use rolo_core::{run_trace, Scheme, SimConfig, SimReport};
+use rolo_core::{run_trace_observed, Scheme, SimConfig, SimReport};
+use rolo_obs::NullSink;
 use rolo_parity::{Raid5Geometry, Raid5Policy, Rolo5Policy};
 use rolo_sim::Duration;
 use rolo_trace::{Burstiness, SizeDist, SyntheticConfig};
@@ -80,12 +81,15 @@ fn main() {
         let geo = Raid5Geometry::new(cfg.disk_count(), cfg.stripe_unit, cfg.data_region());
         let wl = workload(iops);
         let mut out = Vec::new();
-        let raid5 = run_trace(
+        let raid5 = run_trace_observed(
             &cfg,
             wl.generator(dur, 55),
             Raid5Policy::new(geo.clone()),
             dur,
-        );
+            Box::new(NullSink),
+            false,
+        )
+        .0;
         expect_consistent(&raid5, "raid5");
         out.push(summarize("RAID5", iops, &raid5));
         for k in [1usize, 2, 4] {
@@ -97,7 +101,15 @@ fn main() {
                 cfg.destage_chunk,
                 k,
             );
-            let r = run_trace(&cfg, wl.generator(dur, 55), p, dur);
+            let r = run_trace_observed(
+                &cfg,
+                wl.generator(dur, 55),
+                p,
+                dur,
+                Box::new(NullSink),
+                false,
+            )
+            .0;
             expect_consistent(&r, &format!("rolo5-k{k}"));
             out.push(summarize(&format!("RoLo-5 (K={k})"), iops, &r));
         }
@@ -111,7 +123,15 @@ fn main() {
             2,
         );
         p.enable_nvram(1 << 20);
-        let r = run_trace(&cfg, wl.generator(dur, 55), p, dur);
+        let r = run_trace_observed(
+            &cfg,
+            wl.generator(dur, 55),
+            p,
+            dur,
+            Box::new(NullSink),
+            false,
+        )
+        .0;
         expect_consistent(&r, "rolo5-nvram");
         out.push(summarize("RoLo-5+NVRAM", iops, &r));
         out

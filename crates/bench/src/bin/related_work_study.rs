@@ -9,7 +9,8 @@
 //! and GRAID.
 
 use rolo_bench::{expect_consistent, week, write_results};
-use rolo_core::{ParaidPolicy, Scheme, SimConfig};
+use rolo_core::{run_trace_observed, ParaidPolicy, Scheme, SimConfig};
+use rolo_obs::NullSink;
 use serde::Serialize;
 
 #[derive(Debug, Serialize)]
@@ -49,7 +50,15 @@ fn main() {
             rolo_sim::Duration::from_secs(300),
             cfg.destage_chunk,
         );
-        let r = rolo_core::run_trace(&cfg, profile.generator(dur, 0x6e1), paraid, dur);
+        let r = run_trace_observed(
+            &cfg,
+            profile.generator(dur, 0x6e1),
+            paraid,
+            dur,
+            Box::new(NullSink),
+            false,
+        )
+        .0;
         expect_consistent(&r, &format!("{trace} paraid"));
         reports.push(r);
 

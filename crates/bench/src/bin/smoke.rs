@@ -10,7 +10,7 @@
 //! within 10 % (+ scheduling slack) of the untraced run, the budget
 //! DESIGN.md §9 promises.
 
-use rolo_core::{run_scheme_with_sink, Scheme, SimConfig};
+use rolo_core::{run_scheme_observed, Scheme, SimConfig};
 use rolo_obs::{NullSink, RingSink};
 use rolo_sim::Duration;
 
@@ -97,7 +97,7 @@ fn main() {
     let mut null_report = None;
     for _ in 0..OVERHEAD_RUNS {
         let start = std::time::Instant::now();
-        let (r, _) = run_scheme_with_sink(&cfg, records.clone(), dur, Box::new(NullSink));
+        let (r, _) = run_scheme_observed(&cfg, records.clone(), dur, Box::new(NullSink), false);
         null_wall = null_wall.min(start.elapsed());
         null_report = Some(r);
     }
@@ -106,12 +106,18 @@ fn main() {
     let mut ring_run = None;
     for _ in 0..OVERHEAD_RUNS {
         let start = std::time::Instant::now();
-        let out =
-            run_scheme_with_sink(&cfg, records.clone(), dur, Box::new(RingSink::new(1 << 20)));
+        let out = run_scheme_observed(
+            &cfg,
+            records.clone(),
+            dur,
+            Box::new(RingSink::new(1 << 20)),
+            false,
+        );
         ring_wall = ring_wall.min(start.elapsed());
         ring_run = Some(out);
     }
-    let (ring_report, sink) = ring_run.expect("at least one run");
+    let (ring_report, obs) = ring_run.expect("at least one run");
+    let sink = obs.sink;
     assert_eq!(
         null_report.deterministic_json(),
         ring_report.deterministic_json(),

@@ -21,7 +21,7 @@
 
 use rolo_bench::{expect_consistent, parallel_map};
 use rolo_core::{ParaidPolicy, Scheme, SimConfig, SimReport};
-use rolo_obs::{AttributionSummary, SpanAnalysis, SpanSet};
+use rolo_obs::{AttributionSummary, NullSink, SpanAnalysis, SpanSet};
 use rolo_sim::Duration;
 use serde::Serialize;
 
@@ -126,21 +126,32 @@ fn main() {
         Scheme::RoloR,
         Scheme::RoloE,
     ];
-    // PARAID is not a `Scheme` variant; it runs through `run_trace_spanned`
+    // PARAID is not a `Scheme` variant; it runs through `run_trace_observed`
     // directly, proving the span plumbing is policy-agnostic.
     let jobs: Vec<Option<Scheme>> = schemes.iter().copied().map(Some).chain([None]).collect();
-    let runs: Vec<(SimReport, SpanSet)> = parallel_map(jobs, |job| match job {
-        Some(scheme) => {
-            let cfg = SimConfig::paper_default(scheme, 20);
-            rolo_core::run_scheme_spanned(&cfg, profile.generator(dur, cfg.seed), dur)
-        }
-        None => {
-            let cfg = SimConfig::paper_default(Scheme::Raid10, 20);
-            let policy = paraid(&cfg, profile.burst_iops);
-            let (report, _, spans) =
-                rolo_core::run_trace_spanned(&cfg, profile.generator(dur, cfg.seed), policy, dur);
-            (report, spans)
-        }
+    let runs: Vec<(SimReport, SpanSet)> = parallel_map(jobs, |job| {
+        let (report, obs) = match job {
+            Some(scheme) => {
+                let cfg = SimConfig::paper_default(scheme, 20);
+                let records = profile.generator(dur, cfg.seed);
+                rolo_core::run_scheme_observed(&cfg, records, dur, Box::new(NullSink), true)
+            }
+            None => {
+                let cfg = SimConfig::paper_default(Scheme::Raid10, 20);
+                let policy = paraid(&cfg, profile.burst_iops);
+                let records = profile.generator(dur, cfg.seed);
+                let (report, _, obs) = rolo_core::run_trace_observed(
+                    &cfg,
+                    records,
+                    policy,
+                    dur,
+                    Box::new(NullSink),
+                    true,
+                );
+                (report, obs)
+            }
+        };
+        (report, obs.spans.expect("span recording was enabled"))
     });
 
     let mut out = Vec::new();

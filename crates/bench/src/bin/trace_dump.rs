@@ -31,7 +31,7 @@
 //!   on RoLo-E (the scheme the pipeline exists to flag) it fails if
 //!   the run produced no SLO events at all (vacuous check).
 
-use rolo_core::{run_scheme_with_sink, Scheme, SimConfig};
+use rolo_core::{run_scheme_observed, Scheme, SimConfig};
 use rolo_obs::{RingSink, TracedEvent};
 use rolo_sim::Duration;
 use serde::Serialize;
@@ -203,8 +203,14 @@ fn main() {
     let dur = Duration::from_secs((args.hours * 3600.0) as u64);
     let records = profile.generator(dur, cfg.seed).collect::<Vec<_>>();
 
-    let (report, mut sink) =
-        run_scheme_with_sink(&cfg, records, dur, Box::new(RingSink::new(RING_CAPACITY)));
+    let (report, obs) = run_scheme_observed(
+        &cfg,
+        records,
+        dur,
+        Box::new(RingSink::new(RING_CAPACITY)),
+        false,
+    );
+    let mut sink = obs.sink;
     let dropped = sink.dropped();
     let events = sink.drain();
     if dropped > 0 {

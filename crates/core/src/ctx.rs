@@ -5,7 +5,7 @@
 //! drains the accumulated disk wakes and timers into its event queue after
 //! every callback, so policies never touch the queue directly.
 
-use crate::config::SimConfig;
+use crate::config::{SimConfig, SLO_BURN, TELEMETRY_RETAIN, TELEMETRY_WINDOW};
 use crate::faults::{surviving_partner, FaultMetrics, FaultPlan};
 use crate::recovery::RecoveryPlan;
 use crate::slot::{IoSlab, IoSlot};
@@ -313,7 +313,7 @@ impl SimCtx {
             outstanding: metrics.gauge("sim.outstanding_users"),
         };
         let telemetry = cfg.telemetry_enabled.then(|| {
-            let mut hub = Telemetry::new(cfg.telemetry_window, cfg.telemetry_retain);
+            let mut hub = Telemetry::new(TELEMETRY_WINDOW, TELEMETRY_RETAIN);
             let response_us = hub.quantile("sim.response_us");
             let power_w = hub.gauge("sim.power_w");
             let completions = hub.counter("sim.user_completions");
@@ -324,15 +324,11 @@ impl SimCtx {
             let phase_us =
                 Phase::ALL.map(|p| hub.counter(&format!("phase.{}.critical_path_us", p.name())));
             let exemplars = (cfg.exemplars_per_window > 0).then(|| {
-                ExemplarRecorder::new(
-                    cfg.exemplars_per_window,
-                    cfg.telemetry_window,
-                    cfg.telemetry_retain,
-                )
+                ExemplarRecorder::new(cfg.exemplars_per_window, TELEMETRY_WINDOW, TELEMETRY_RETAIN)
             });
             CtxTelemetry {
                 hub,
-                monitor: SloMonitor::new(cfg.slo_burn, cfg.slos.clone()),
+                monitor: SloMonitor::new(SLO_BURN, cfg.slos.clone()),
                 response_us,
                 power_w,
                 completions,

@@ -1,6 +1,6 @@
 //! Fault-injection plan and degraded-window metrics.
 //!
-//! Failures are first-class events inside [`crate::driver::run_trace`]:
+//! Failures are first-class events inside [`crate::driver::run_trace_observed`]:
 //! the driver expands a [`FaultPlan`] into scheduled disk-failure events
 //! before replay starts, and classifies every I/O completion against the
 //! plan's latent-sector-error and timeout probabilities. The resulting
@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// Declarative description of the faults to inject during a run.
 ///
 /// The default plan ([`FaultPlan::none`]) injects nothing, so existing
-/// callers of `run_trace` are unaffected. Whole-disk failures can be
+/// runs without faults are unaffected. Whole-disk failures can be
 /// pinned to exact instants (`disk_failures`) or drawn from a Poisson
 /// process (`random_failure_rate`); both feed the same degraded-mode
 /// machinery. Media errors and timeouts are per-I/O Bernoulli draws made

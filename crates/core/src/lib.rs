@@ -46,22 +46,18 @@ pub mod slot;
 
 pub use config::{ConfigError, Scheme, SimConfig};
 pub use ctx::SimCtx;
-pub use driver::{
-    run_scheme, run_scheme_observed, run_scheme_spanned, run_scheme_with_sink, run_trace,
-    run_trace_observed, run_trace_returning, run_trace_spanned, run_trace_with_sink,
-    RunObservations,
-};
+pub use driver::{run_scheme, run_scheme_observed, run_trace_observed, RunObservations};
 pub use faults::{surviving_partner, FaultMetrics, FaultPlan, FaultPlanError};
 pub use graid::GraidPolicy;
 pub use paraid::ParaidPolicy;
 pub use policy::{Policy, PolicyStats};
 pub use raid10::Raid10Policy;
-pub use rebuild::{
-    rebuild_primary_failure, simulate_rebuild, simulate_rebuild_traced, RebuildReport,
-};
+pub use rebuild::{rebuild_primary_failure, simulate_rebuild, RebuildReport};
 pub use recovery::{recovery_plan, RecoveryPlan};
 pub use report::SimReport;
 pub use rolo::{RoloFlavor, RoloPolicy};
+/// The sink of a plain, unobserved run of [`run_trace_observed`].
+pub use rolo_obs::NullSink;
 pub use roloe::RoloEPolicy;
 pub use segment::{
     replay_journals, AppendOutcome, AppendRecord, ArchiveFrame, LogManifest, ReplayOutcome,

@@ -15,7 +15,10 @@
 //! recent writes live across several past loggers).
 //!
 //! This module is the *offline* engine (isolated disks, no foreground
-//! traffic). Rebuilds running inside a live trace replay go through
+//! traffic). [`stream_rebuild`] is its one chunk-streaming loop, shared
+//! with the RAID5 rebuild in `rolo_parity::degraded`: the two differ only
+//! in the source set each chunk is read from. Rebuilds running inside a
+//! live trace replay go through
 //! [`SimCtx::begin_rebuild`](crate::ctx::SimCtx), where — with span
 //! tracing on — each rebuild opens a `BgSpan` over its source and
 //! replacement slots, and foreground legs it delays record the causal
@@ -23,10 +26,10 @@
 
 use crate::config::{Scheme, SimConfig};
 use crate::recovery::RecoveryPlan;
-use rolo_disk::{Disk, DiskWake, IoKind, PowerState, Priority};
-use rolo_obs::{NullSink, SimEvent, TraceSink};
-use rolo_sim::{Duration, EventQueue, SimRng, SimTime};
+use rolo_disk::{Disk, DiskRequest, DiskWake, IoKind, PowerState, Priority};
+use rolo_sim::{CalendarQueue, Duration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Outcome of one simulated rebuild.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -46,7 +49,124 @@ pub struct RebuildReport {
 }
 
 /// Chunk size used for rebuild streaming.
-const REBUILD_CHUNK: u64 = 1 << 20;
+pub const REBUILD_CHUNK: u64 = 1 << 20;
+
+/// What one [`stream_rebuild`] measured.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StreamedRebuild {
+    /// Wall time from the first read to the stop.
+    pub duration: Duration,
+    /// Energy consumed by every disk over that window (J).
+    pub energy_j: f64,
+    /// Bytes written to the replacement.
+    pub bytes_rebuilt: u64,
+}
+
+/// Streams `total` bytes onto `disks[replacement]`, one chunk at a time.
+///
+/// Chunk `k` is read from every disk in `sources(k)` (indices into
+/// `disks`); once all of those reads have returned, the chunk is written
+/// to the replacement, and its completion issues chunk `k + 1`. The first
+/// chunk is `first_chunk` bytes, every later one [`REBUILD_CHUNK`]
+/// clipped to what is left. The stream stops at the first delivered event
+/// after which `total` bytes have landed — so a `total` of zero stops at
+/// the very first event — or when no event is left. Disks start in
+/// whatever power state the caller built them in; a standby source spins
+/// up on its first read, and that delay is part of the rebuild.
+pub fn stream_rebuild(
+    mut disks: Vec<Disk>,
+    replacement: usize,
+    sources: impl Fn(u64) -> Range<usize>,
+    first_chunk: u64,
+    total: u64,
+) -> StreamedRebuild {
+    fn schedule(queue: &mut CalendarQueue<(usize, DiskWake)>, idx: usize, wake: Option<DiskWake>) {
+        if let Some(w) = wake {
+            queue.schedule(w.due(), (idx, w));
+        }
+    }
+    fn submit(
+        disks: &mut [Disk],
+        queue: &mut CalendarQueue<(usize, DiskWake)>,
+        idx: usize,
+        kind: IoKind,
+        offset: u64,
+        len: u64,
+        now: SimTime,
+    ) {
+        let req = DiskRequest::new(0, kind, offset, len, Priority::Foreground);
+        let wake = disks[idx].submit(req, now);
+        schedule(queue, idx, wake);
+    }
+
+    // Reads chunk `chunk` (`len` bytes at `copied`) from all of its
+    // sources; returns how many reads are now outstanding.
+    let read_chunk = |disks: &mut [Disk], queue: &mut _, chunk, copied, len, now| {
+        let srcs = sources(chunk);
+        for src in srcs.clone() {
+            submit(disks, queue, src, IoKind::Read, copied, len, now);
+        }
+        srcs.len()
+    };
+
+    let mut queue = CalendarQueue::new();
+    let mut chunk = 0u64;
+    let mut len = first_chunk;
+    let mut copied = 0u64;
+    let mut reads_outstanding =
+        read_chunk(&mut disks, &mut queue, chunk, copied, len, SimTime::ZERO);
+    let mut now = SimTime::ZERO;
+    while let Some(ev) = queue.pop() {
+        now = ev.time;
+        let (idx, wake) = ev.payload;
+        let disk = &mut disks[idx];
+        match wake {
+            DiskWake::Io(_) => {
+                let out = disk.on_io_complete(now);
+                schedule(&mut queue, idx, out.next);
+                if idx == replacement {
+                    // Chunk landed on the replacement: issue the next one.
+                    copied += out.completed.bytes;
+                    if copied < total {
+                        chunk += 1;
+                        len = REBUILD_CHUNK.min(total - copied);
+                        reads_outstanding =
+                            read_chunk(&mut disks, &mut queue, chunk, copied, len, now);
+                    }
+                } else {
+                    reads_outstanding -= 1;
+                    if reads_outstanding == 0 {
+                        // Every source delivered: write the chunk.
+                        submit(
+                            &mut disks,
+                            &mut queue,
+                            replacement,
+                            IoKind::Write,
+                            copied,
+                            len,
+                            now,
+                        );
+                    }
+                }
+            }
+            DiskWake::SpinUp(_) => schedule(&mut queue, idx, disk.on_spin_up_complete(now)),
+            DiskWake::SpinDown(_) => schedule(&mut queue, idx, disk.on_spin_down_complete(now)),
+            DiskWake::BgRetry(_) => schedule(&mut queue, idx, disk.on_bg_retry(now)),
+        }
+        if copied >= total {
+            break;
+        }
+    }
+
+    StreamedRebuild {
+        duration: now.since(SimTime::ZERO),
+        energy_j: disks
+            .iter()
+            .map(|d| d.energy_report(now).total_joules)
+            .sum(),
+        bytes_rebuilt: copied,
+    }
+}
 
 /// Simulates rebuilding a failed disk according to `plan`.
 ///
@@ -63,20 +183,6 @@ pub fn simulate_rebuild(
     plan: &RecoveryPlan,
     standby: &[bool],
     rebuild_bytes: u64,
-) -> RebuildReport {
-    simulate_rebuild_traced(cfg, plan, standby, rebuild_bytes, &mut NullSink)
-}
-
-/// Like [`simulate_rebuild`], but emits [`SimEvent`]s (rebuild start and
-/// completion, per-chunk dispatches, disk state transitions) into `sink`
-/// so the offline rebuild engine is observable with the same taxonomy as
-/// the live driver.
-pub fn simulate_rebuild_traced(
-    cfg: &SimConfig,
-    plan: &RecoveryPlan,
-    standby: &[bool],
-    rebuild_bytes: u64,
-    sink: &mut dyn TraceSink,
 ) -> RebuildReport {
     let sources: Vec<usize> = plan
         .wake
@@ -103,7 +209,7 @@ pub fn simulate_rebuild_traced(
             state,
         ));
     }
-    let replacement_idx = disks.len();
+    let replacement = disks.len();
     disks.push(Disk::with_initial_state(
         plan.failed,
         cfg.disk.clone(),
@@ -111,208 +217,27 @@ pub fn simulate_rebuild_traced(
         PowerState::Idle,
     ));
 
-    #[derive(Clone, Copy)]
-    enum Ev {
-        Io(usize),
-        SpinUp(usize),
-        SpinDown(usize),
-        BgRetry(usize),
-    }
-
-    let mut queue: EventQueue<Ev> = EventQueue::new();
-    let mut offset = 0u64;
-    let mut src_cursor = 0usize;
-    let mut copied = 0u64;
-    // Maps an engine index to the real array slot, for trace events.
-    let slot_of = |idx: usize| -> usize {
-        if idx < sources.len() {
-            sources[idx]
-        } else {
-            plan.failed
-        }
-    };
-    let submit = |disks: &mut Vec<Disk>,
-                  queue: &mut EventQueue<Ev>,
-                  sink: &mut dyn TraceSink,
-                  idx: usize,
-                  kind: IoKind,
-                  off: u64,
-                  len: u64,
-                  now: SimTime| {
-        let before = disks[idx].power_state();
-        if let Some(w) = disks[idx].submit(
-            rolo_disk::DiskRequest::new(0, kind, off, len, Priority::Foreground),
-            now,
-        ) {
-            let ev = match w {
-                DiskWake::Io(_) => Ev::Io(idx),
-                DiskWake::SpinUp(_) => Ev::SpinUp(idx),
-                DiskWake::SpinDown(_) => Ev::SpinDown(idx),
-                DiskWake::BgRetry(_) => Ev::BgRetry(idx),
-            };
-            queue.schedule(w.due(), ev);
-        }
-        if sink.enabled() {
-            let disk = slot_of(idx);
-            let after = disks[idx].power_state();
-            if after != before {
-                sink.record(
-                    now,
-                    SimEvent::DiskState {
-                        disk,
-                        from: before,
-                        to: after,
-                    },
-                );
-            }
-            sink.record(
-                now,
-                SimEvent::RequestDispatch {
-                    io: 0,
-                    disk,
-                    kind,
-                    offset: off,
-                    bytes: len,
-                    background: true,
-                },
-            );
-        }
-    };
-    if sink.enabled() {
-        sink.record(
-            SimTime::ZERO,
-            SimEvent::RebuildStarted {
-                slot: plan.failed,
-                bytes: rebuild_bytes,
-            },
-        );
-    }
-
-    // Kick off: first chunk read from the first source (spins it up if
-    // needed — the spin-up cost is part of the §III-C story).
-    let len = REBUILD_CHUNK.min(rebuild_bytes.max(1));
-    submit(
-        &mut disks,
-        &mut queue,
-        sink,
-        0,
-        IoKind::Read,
-        0,
-        len,
-        SimTime::ZERO,
+    // The first chunk reads at least one byte from the first source
+    // (spinning it up if needed — the spin-up cost is part of the §III-C
+    // story), even for an empty rebuild.
+    let n = sources.len() as u64;
+    let streamed = stream_rebuild(
+        disks,
+        replacement,
+        |chunk| {
+            let src = (chunk % n) as usize;
+            src..src + 1
+        },
+        REBUILD_CHUNK.min(rebuild_bytes.max(1)),
+        rebuild_bytes,
     );
-    let mut awaiting_write = false;
-    let mut pending_len = len;
-
-    let mut now = SimTime::ZERO;
-    while let Some(ev) = queue.pop() {
-        now = ev.time;
-        match ev.payload {
-            Ev::Io(idx) => {
-                let out = disks[idx].on_io_complete(now);
-                if let Some(w) = out.next {
-                    let evn = match w {
-                        DiskWake::Io(_) => Ev::Io(idx),
-                        DiskWake::SpinUp(_) => Ev::SpinUp(idx),
-                        DiskWake::SpinDown(_) => Ev::SpinDown(idx),
-                        DiskWake::BgRetry(_) => Ev::BgRetry(idx),
-                    };
-                    queue.schedule(w.due(), evn);
-                }
-                if idx == replacement_idx {
-                    // Chunk landed on the replacement: next chunk.
-                    copied += out.completed.bytes;
-                    awaiting_write = false;
-                    offset += out.completed.bytes;
-                    if offset < rebuild_bytes {
-                        src_cursor = (src_cursor + 1) % sources.len();
-                        let len = REBUILD_CHUNK.min(rebuild_bytes - offset);
-                        pending_len = len;
-                        submit(
-                            &mut disks,
-                            &mut queue,
-                            sink,
-                            src_cursor,
-                            IoKind::Read,
-                            offset,
-                            len,
-                            now,
-                        );
-                    }
-                } else if !awaiting_write {
-                    // Source read done: write the chunk to the replacement.
-                    awaiting_write = true;
-                    submit(
-                        &mut disks,
-                        &mut queue,
-                        sink,
-                        replacement_idx,
-                        IoKind::Write,
-                        offset,
-                        pending_len,
-                        now,
-                    );
-                }
-            }
-            Ev::SpinUp(idx) => {
-                let before = disks[idx].power_state();
-                if let Some(w) = disks[idx].on_spin_up_complete(now) {
-                    let evn = match w {
-                        DiskWake::Io(_) => Ev::Io(idx),
-                        DiskWake::SpinUp(_) => Ev::SpinUp(idx),
-                        DiskWake::SpinDown(_) => Ev::SpinDown(idx),
-                        DiskWake::BgRetry(_) => Ev::BgRetry(idx),
-                    };
-                    queue.schedule(w.due(), evn);
-                }
-                let after = disks[idx].power_state();
-                if sink.enabled() && after != before {
-                    sink.record(
-                        now,
-                        SimEvent::DiskState {
-                            disk: slot_of(idx),
-                            from: before,
-                            to: after,
-                        },
-                    );
-                }
-            }
-            Ev::SpinDown(idx) => {
-                if let Some(DiskWake::SpinUp(t)) = disks[idx].on_spin_down_complete(now) {
-                    queue.schedule(t, Ev::SpinUp(idx));
-                }
-            }
-            Ev::BgRetry(idx) => {
-                if let Some(DiskWake::Io(t)) = disks[idx].on_bg_retry(now) {
-                    queue.schedule(t, Ev::Io(idx));
-                }
-            }
-        }
-        if copied >= rebuild_bytes {
-            break;
-        }
-    }
-
-    if sink.enabled() {
-        sink.record(
-            now,
-            SimEvent::RebuildCompleted {
-                slot: plan.failed,
-                duration_us: now.since(SimTime::ZERO).as_micros(),
-            },
-        );
-    }
-    let energy: f64 = disks
-        .iter()
-        .map(|d| d.energy_report(now).total_joules)
-        .sum();
     RebuildReport {
         scheme: String::new(),
-        duration: now.since(SimTime::ZERO),
-        energy_j: energy,
+        duration: streamed.duration,
+        energy_j: streamed.energy_j,
         disks_awakened: plan.wake.len(),
         disks_involved: plan.disks_involved(),
-        bytes_rebuilt: copied,
+        bytes_rebuilt: streamed.bytes_rebuilt,
     }
 }
 

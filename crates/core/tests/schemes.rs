@@ -6,6 +6,7 @@
 //! cache behaviour.
 
 use rolo_core::{driver, RoloFlavor, RoloPolicy, Scheme, SimConfig, SimReport};
+use rolo_obs::NullSink;
 use rolo_sim::Duration;
 use rolo_trace::{Burstiness, SizeDist, SyntheticConfig};
 
@@ -270,7 +271,15 @@ fn rolo_policy_direct_construction() {
     );
     let dur = Duration::from_secs(30);
     let wl = write_workload(20.0);
-    let r = driver::run_trace(&cfg, wl.generator(dur, 11), policy, dur);
+    let r = driver::run_trace_observed(
+        &cfg,
+        wl.generator(dur, 11),
+        policy,
+        dur,
+        Box::new(NullSink),
+        false,
+    )
+    .0;
     r.consistency.as_ref().expect("consistent");
     assert_eq!(r.scheme, "RoLo-P");
 }
@@ -323,7 +332,15 @@ fn paraid_shifts_gears_and_stays_consistent() {
         cfg.destage_chunk,
     );
     let dur = Duration::from_secs(1200);
-    let r = driver::run_trace(&cfg, wl.generator(dur, 77), policy, dur);
+    let r = driver::run_trace_observed(
+        &cfg,
+        wl.generator(dur, 77),
+        policy,
+        dur,
+        Box::new(NullSink),
+        false,
+    )
+    .0;
     r.consistency.as_ref().expect("consistent");
     assert!(
         r.policy.rotations >= 2,
@@ -347,7 +364,7 @@ fn paraid_spins_all_mirrors_per_shift_unlike_rolo() {
         ..write_workload(25.0)
     };
     let dur = Duration::from_secs(1500);
-    let paraid = driver::run_trace(
+    let paraid = driver::run_trace_observed(
         &cfg,
         wl.generator(dur, 88),
         ParaidPolicy::new(
@@ -360,7 +377,10 @@ fn paraid_spins_all_mirrors_per_shift_unlike_rolo() {
             cfg.destage_chunk,
         ),
         dur,
-    );
+        Box::new(NullSink),
+        false,
+    )
+    .0;
     let rolo = run(&cfg, &wl, 1500, 88);
     paraid.consistency.as_ref().expect("paraid consistent");
     rolo.consistency.as_ref().expect("rolo consistent");

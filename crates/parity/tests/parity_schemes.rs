@@ -1,6 +1,6 @@
 //! Behavioural tests of the RAID5 baseline and RoLo-5.
 
-use rolo_core::{run_trace, Scheme, SimConfig};
+use rolo_core::{run_trace_observed, NullSink, Scheme, SimConfig};
 use rolo_parity::{Raid5Geometry, Raid5Policy, Rolo5Policy};
 use rolo_sim::Duration;
 use rolo_trace::{Burstiness, SizeDist, SyntheticConfig};
@@ -39,12 +39,15 @@ fn raid5_serves_and_stays_consistent() {
     let cfg = cfg();
     let dur = Duration::from_secs(300);
     let wl = workload(60.0, 0.8);
-    let report = run_trace(
+    let report = run_trace_observed(
         &cfg,
         wl.generator(dur, 1),
         Raid5Policy::new(geometry(&cfg)),
         dur,
-    );
+        Box::new(NullSink),
+        false,
+    )
+    .0;
     report.consistency.as_ref().expect("consistent");
     assert!(report.user_requests > 10_000);
     assert_eq!(report.scheme, "RAID5");
@@ -64,7 +67,15 @@ fn rolo5_consistent_and_reclaims() {
         0.02,
         64 * 1024,
     );
-    let report = run_trace(&cfg, wl.generator(dur, 2), policy, dur);
+    let report = run_trace_observed(
+        &cfg,
+        wl.generator(dur, 2),
+        policy,
+        dur,
+        Box::new(NullSink),
+        false,
+    )
+    .0;
     report.consistency.as_ref().expect("consistent");
     assert!(report.policy.rotations > 0, "logger must rotate");
     assert!(report.policy.log_appended_bytes > 0);
@@ -82,13 +93,16 @@ fn rolo5_spends_less_disk_time_than_raid5() {
     let cfg = cfg();
     let dur = Duration::from_secs(400);
     let wl = workload(150.0, 1.0);
-    let base = run_trace(
+    let base = run_trace_observed(
         &cfg,
         wl.generator(dur, 3),
         Raid5Policy::new(geometry(&cfg)),
         dur,
-    );
-    let rolo = run_trace(
+        Box::new(NullSink),
+        false,
+    )
+    .0;
+    let rolo = run_trace_observed(
         &cfg,
         wl.generator(dur, 3),
         Rolo5Policy::new(
@@ -99,7 +113,10 @@ fn rolo5_spends_less_disk_time_than_raid5() {
             64 * 1024,
         ),
         dur,
-    );
+        Box::new(NullSink),
+        false,
+    )
+    .0;
     base.consistency.as_ref().expect("raid5 consistent");
     rolo.consistency.as_ref().expect("rolo5 consistent");
     let base_busy = base.aggregate_energy.active.as_secs_f64();
@@ -130,7 +147,15 @@ fn rolo5_survives_overload_by_deactivating() {
         0.02,
         64 * 1024,
     );
-    let report = run_trace(&cfg, wl.generator(dur, 4), policy, dur);
+    let report = run_trace_observed(
+        &cfg,
+        wl.generator(dur, 4),
+        policy,
+        dur,
+        Box::new(NullSink),
+        false,
+    )
+    .0;
     report
         .consistency
         .as_ref()
@@ -150,7 +175,7 @@ fn rolo5_deterministic() {
     let dur = Duration::from_secs(120);
     let wl = workload(50.0, 0.9);
     let run = |seed| {
-        run_trace(
+        run_trace_observed(
             &cfg,
             wl.generator(dur, seed),
             Rolo5Policy::new(
@@ -161,7 +186,10 @@ fn rolo5_deterministic() {
                 64 * 1024,
             ),
             dur,
+            Box::new(NullSink),
+            false,
         )
+        .0
     };
     let a = run(7);
     let b = run(7);
@@ -182,7 +210,15 @@ fn mixed_read_write_consistency() {
             0.02,
             64 * 1024,
         );
-        let report = run_trace(&cfg, wl.generator(dur, 11), policy, dur);
+        let report = run_trace_observed(
+            &cfg,
+            wl.generator(dur, 11),
+            policy,
+            dur,
+            Box::new(NullSink),
+            false,
+        )
+        .0;
         report
             .consistency
             .as_ref()
@@ -199,12 +235,15 @@ fn nvram_staging_beats_raid5_on_latency_too() {
     let cfg = cfg();
     let dur = Duration::from_secs(400);
     let wl = workload(150.0, 1.0);
-    let base = run_trace(
+    let base = run_trace_observed(
         &cfg,
         wl.generator(dur, 13),
         Raid5Policy::new(geometry(&cfg)),
         dur,
-    );
+        Box::new(NullSink),
+        false,
+    )
+    .0;
     let mut p = Rolo5Policy::with_loggers(
         geometry(&cfg),
         cfg.data_region(),
@@ -214,7 +253,15 @@ fn nvram_staging_beats_raid5_on_latency_too() {
         2,
     );
     p.enable_nvram(1 << 20);
-    let nv = run_trace(&cfg, wl.generator(dur, 13), p, dur);
+    let nv = run_trace_observed(
+        &cfg,
+        wl.generator(dur, 13),
+        p,
+        dur,
+        Box::new(NullSink),
+        false,
+    )
+    .0;
     base.consistency.as_ref().expect("raid5 consistent");
     nv.consistency.as_ref().expect("nvram consistent");
     assert!(

@@ -4,7 +4,9 @@
 //! This crate provides the substrate that the disk model, RAID layer and
 //! logging controllers are built on: a microsecond-resolution simulated
 //! clock ([`SimTime`], [`Duration`]), a deterministic event queue
-//! ([`EventQueue`]), and seeded random-number plumbing ([`rng`]).
+//! ([`CalendarQueue`], which every simulation loop uses; the binary-heap
+//! [`EventQueue`] stays as its differential-test reference), and seeded
+//! random-number plumbing ([`rng`]).
 //!
 //! The engine is deliberately *not* generic over an event trait object
 //! dispatch framework; higher layers drive their own state machines and use
@@ -15,9 +17,9 @@
 //! # Example
 //!
 //! ```
-//! use rolo_sim::{EventQueue, SimTime, Duration};
+//! use rolo_sim::{CalendarQueue, SimTime, Duration};
 //!
-//! let mut q: EventQueue<&'static str> = EventQueue::new();
+//! let mut q: CalendarQueue<&'static str> = CalendarQueue::new();
 //! q.schedule(SimTime::ZERO + Duration::from_millis(5), "later");
 //! q.schedule(SimTime::ZERO, "now");
 //! assert_eq!(q.pop().map(|e| e.payload), Some("now"));

@@ -3,7 +3,8 @@
 //! every scheme, across randomized workload shapes.
 
 use proptest::prelude::*;
-use rolo::core::{Scheme, SimConfig};
+use rolo::core::{run_trace_observed, Scheme, SimConfig};
+use rolo::obs::NullSink;
 use rolo::sim::Duration;
 use rolo::trace::{Burstiness, SizeDist, SyntheticConfig};
 
@@ -137,13 +138,29 @@ mod parity {
         if nvram {
             p.enable_nvram(1 << 20);
         }
-        let report = rolo::core::run_trace(&cfg, wl.generator(dur, seed), p, dur);
+        let report = run_trace_observed(
+            &cfg,
+            wl.generator(dur, seed),
+            p,
+            dur,
+            Box::new(NullSink),
+            false,
+        )
+        .0;
         prop_assert!(
             report.consistency.is_ok(),
             "rolo5: {:?}",
             report.consistency
         );
-        let base = rolo::core::run_trace(&cfg, wl.generator(dur, seed), Raid5Policy::new(geo), dur);
+        let base = run_trace_observed(
+            &cfg,
+            wl.generator(dur, seed),
+            Raid5Policy::new(geo),
+            dur,
+            Box::new(NullSink),
+            false,
+        )
+        .0;
         prop_assert!(base.consistency.is_ok(), "raid5: {:?}", base.consistency);
         prop_assert_eq!(base.user_requests, report.user_requests);
         Ok(())

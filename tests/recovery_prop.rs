@@ -193,12 +193,14 @@ fn lifecycle_instants(scheme: Scheme, trace_seed: u64) -> (Instants, Instants) {
     let cfg = crash_cfg(scheme);
     let dur = Duration::from_secs(400);
     let wl = SyntheticConfig::motivation_write_only(40.0);
-    let (report, mut sink) = rolo::core::run_scheme_with_sink(
+    let (report, obs) = rolo::core::run_scheme_observed(
         &cfg,
         wl.generator(dur, trace_seed),
         dur,
         Box::new(RingSink::new(1 << 21)),
+        false,
     );
+    let mut sink = obs.sink;
     report.consistency.as_ref().expect("probe run consistent");
     let mut compacted = Vec::new();
     let mut archived = Vec::new();
