@@ -5,10 +5,12 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rolo_core::ctx::WakeKind;
 use rolo_core::logspace::LoggerSpace;
+use rolo_core::segment::{clear_owned_journals, owner_bit, SegmentStore};
 use rolo_core::{dirty::DirtyMap, Scheme, SimConfig, SimCtx};
 use rolo_disk::{DiskParams, IoKind, Priority, ServiceModel};
 use rolo_sim::{CalendarQueue, Duration, EventQueue, SimRng, SimTime};
 use rolo_trace::SyntheticConfig;
+use std::collections::BTreeMap;
 
 fn bench_service_model(c: &mut Criterion) {
     c.bench_function("service_model_random_64k", |b| {
@@ -153,6 +155,52 @@ fn bench_dirty_map(c: &mut Criterion) {
     });
 }
 
+/// The RoLo-R journal path: 20 logger journals (10 pairs, both halves
+/// logging), each write committed on a pair's two journals and marked
+/// in the written pair's dirty map, interleaved with destage-style
+/// 64 KiB extractions whose clears visit only the tagged journals.
+fn bench_journal_fanout(c: &mut Criterion) {
+    const PAIRS: usize = 10;
+    const CHUNK: u64 = 64 * 1024;
+    c.bench_function("journal_commit_clear_fanout", |b| {
+        let mut rng = SimRng::seed_from(16);
+        b.iter_batched(
+            || {
+                let journals: BTreeMap<usize, SegmentStore> = (0..2 * PAIRS)
+                    .map(|d| (d, SegmentStore::new(4 << 20)))
+                    .collect();
+                (journals, vec![DirtyMap::new(); PAIRS])
+            },
+            |(mut journals, mut dirty)| {
+                let mut lsn = 0;
+                for i in 0..1000usize {
+                    let pair = rng.below(PAIRS as u64) as usize;
+                    let lba = rng.below(1 << 14) * CHUNK;
+                    // The on-duty logger pair rotates every 100 writes.
+                    let logger = i / 100 % PAIRS;
+                    let mut owners = 0;
+                    lsn += 1;
+                    for disk in [logger, PAIRS + logger] {
+                        let j = journals.get_mut(&disk).expect("journal");
+                        let rid = j.append(pair, 0, lba, CHUNK).rid;
+                        j.commit(rid, lsn);
+                        owners |= owner_bit(disk);
+                    }
+                    dirty[pair].mark_owned(lba, CHUNK, owners);
+                    if i % 2 == 1 {
+                        let p = (i / 2) % PAIRS;
+                        if let Some((off, len, owners)) = dirty[p].take_next_owned(CHUNK) {
+                            clear_owned_journals(&mut journals, owners, p, off, len);
+                        }
+                    }
+                }
+                std::hint::black_box(journals.len())
+            },
+            BatchSize::SmallInput,
+        );
+    });
+}
+
 fn bench_end_to_end(c: &mut Criterion) {
     let mut g = c.benchmark_group("end_to_end_10min_4pairs");
     g.sample_size(10);
@@ -180,6 +228,7 @@ criterion_group!(
     bench_dispatch,
     bench_logspace,
     bench_dirty_map,
+    bench_journal_fanout,
     bench_end_to_end
 );
 criterion_main!(benches);

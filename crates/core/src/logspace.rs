@@ -121,13 +121,8 @@ impl LoggerSpace {
         let mut remaining = bytes;
         let mut out = Vec::new();
         while remaining > 0 {
-            let (&off, &len) = self
-                .free
-                .iter()
-                .next()
-                .expect("free accounting out of sync");
+            let (off, len) = self.free.pop_first().expect("free accounting out of sync");
             let take = len.min(remaining);
-            self.free.remove(&off);
             if take < len {
                 self.free.insert(off + take, len - take);
             }
@@ -148,42 +143,61 @@ impl LoggerSpace {
     /// Frees every live segment matching `stale`, coalescing the freed
     /// space. Returns the number of bytes reclaimed.
     ///
-    /// The unused region list is minimal (one fragment per maximal free
-    /// run) on return — regardless of the order in which the stale
-    /// segments were visited — because `insert_free` merges both
-    /// neighbours on every insertion. Debug builds re-verify that with
-    /// a [`LoggerSpace::coalesce_all`] pass; the full-merge rebuild
-    /// stays off the release path, where reclaim runs on every destage
-    /// completion against every logger space.
+    /// Stale segments leave `used` by `swap_remove`, so the survivors'
+    /// order is the same however the freed space is merged. The freed
+    /// pieces and the free list are sorted together (two runs: one
+    /// merge) and coalesced in one linear pass, which leaves the unused
+    /// region list minimal — one fragment per maximal free run. The
+    /// minimal list is unique, so the result does not depend on the
+    /// order the pieces were visited in. Debug builds re-verify
+    /// minimality with [`LoggerSpace::coalesce_all`].
     pub fn reclaim<F: FnMut(&LogSegment) -> bool>(&mut self, mut stale: F) -> u64 {
-        let mut freed = 0;
+        let mut pieces = Vec::new();
         let mut i = 0;
         while i < self.used.len() {
             if stale(&self.used[i]) {
                 let seg = self.used.swap_remove(i);
-                freed += seg.bytes;
-                self.insert_free(seg.offset, seg.bytes);
+                pieces.push((seg.offset, seg.bytes));
             } else {
                 i += 1;
             }
         }
-        self.used_bytes -= freed;
-        if freed > 0 {
-            debug_assert_eq!(
-                self.coalesce_all(),
-                0,
-                "insert_free left adjacent fragments"
-            );
+        if pieces.is_empty() {
+            return 0;
         }
+        let freed: u64 = pieces.iter().map(|&(_, len)| len).sum();
+        self.used_bytes -= freed;
+        let mut spans: Vec<(u64, u64)> = std::mem::take(&mut self.free)
+            .into_iter()
+            .chain(pieces)
+            .collect();
+        spans.sort();
+        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(spans.len());
+        for (off, len) in spans {
+            match merged.last_mut() {
+                Some((last, last_len)) if *last + *last_len == off => *last_len += len,
+                last => {
+                    debug_assert!(
+                        last.is_none_or(|&mut (o, l)| o + l < off),
+                        "free-list overlap"
+                    );
+                    merged.push((off, len));
+                }
+            }
+        }
+        self.free = merged.into_iter().collect();
+        debug_assert_eq!(self.coalesce_all(), 0, "reclaim left adjacent fragments");
         freed
     }
 
     /// Full-merge pass over the unused region list (§III-E, the paper's
     /// background compaction of the region lists): rebuilds the list so
     /// every maximal free run is exactly one fragment. Returns how many
-    /// adjacent fragments were folded — zero whenever the incremental
-    /// coalescing in `insert_free` already left the list minimal, which
-    /// the property tests assert.
+    /// adjacent fragments were folded — zero whenever [`reclaim`]'s
+    /// merge already left the list minimal, which the property tests
+    /// assert.
+    ///
+    /// [`reclaim`]: LoggerSpace::reclaim
     pub fn coalesce_all(&mut self) -> usize {
         let mut merged = 0;
         let mut rebuilt: BTreeMap<u64, u64> = BTreeMap::new();
@@ -206,29 +220,6 @@ impl LoggerSpace {
         }
         self.free = rebuilt;
         merged
-    }
-
-    /// Inserts a free region and coalesces with neighbours.
-    fn insert_free(&mut self, offset: u64, bytes: u64) {
-        let mut start = offset;
-        let mut len = bytes;
-        // Merge with predecessor if adjacent.
-        if let Some((&poff, &plen)) = self.free.range(..offset).next_back() {
-            debug_assert!(poff + plen <= offset, "free-list overlap");
-            if poff + plen == offset {
-                self.free.remove(&poff);
-                start = poff;
-                len += plen;
-            }
-        }
-        // Merge with successor if adjacent.
-        if let Some((&soff, &slen)) = self.free.range(start + len..).next() {
-            if start + len == soff {
-                self.free.remove(&soff);
-                len += slen;
-            }
-        }
-        self.free.insert(start, len);
     }
 
     /// Number of fragments in the free list (1 when fully coalesced and
@@ -452,6 +443,50 @@ mod tests {
                 }
                 prop_assert!(ls.check_invariants().is_ok(), "{:?}", ls.check_invariants());
                 prop_assert!(ls.used_bytes() + ls.free_bytes() == ls.size());
+            }
+        }
+
+        /// Against a model of the `used` list: reclaim keeps the
+        /// survivors in `swap_remove` order (compaction takes a pair's
+        /// first segment in that order), and the free list is exactly
+        /// the minimal complement of the live segments.
+        #[test]
+        fn prop_reclaim_keeps_order_and_frees_the_complement(
+            ops in proptest::collection::vec((0u8..3, 1u64..2048, 0usize..4, 0u64..4), 1..200)
+        ) {
+            let (base, size) = (4096, 64 * 1024);
+            let mut ls = LoggerSpace::new(base, size);
+            let mut model: Vec<LogSegment> = Vec::new();
+            for (op, bytes, pair, period) in ops {
+                if op < 2 {
+                    if let Some(segs) = ls.alloc(bytes, pair, period) {
+                        model.extend(segs);
+                    }
+                } else {
+                    let stale = |s: &LogSegment| s.pair == pair && s.period <= period;
+                    let mut i = 0;
+                    while i < model.len() {
+                        if stale(&model[i]) {
+                            model.swap_remove(i);
+                        } else {
+                            i += 1;
+                        }
+                    }
+                    ls.reclaim(stale);
+                }
+                prop_assert_eq!(ls.segments(), &model[..]);
+                let mut live: Vec<(u64, u64)> = model.iter().map(|s| (s.offset, s.bytes)).collect();
+                live.sort_unstable();
+                let mut gaps = Vec::new();
+                let mut pos = base;
+                for (off, len) in live.into_iter().chain([(base + size, 0)]) {
+                    if off > pos {
+                        gaps.push((pos, off - pos));
+                    }
+                    pos = off + len;
+                }
+                let free: Vec<(u64, u64)> = ls.free.iter().map(|(&o, &l)| (o, l)).collect();
+                prop_assert_eq!(free, gaps);
             }
         }
 

@@ -35,7 +35,7 @@ use crate::faults::surviving_partner;
 use crate::logspace::LoggerSpace;
 use crate::policy::{Policy, PolicyStats};
 use crate::recovery::recovery_plan;
-use crate::segment::{replay_journals, LogManifest, SegmentStore};
+use crate::segment::{clear_owned_journals, owner_bit, replay_journals, LogManifest, SegmentStore};
 use crate::slot::IoSlot;
 use rolo_disk::{DiskId, DiskRequest, IoKind, IoOutcome, Priority};
 use rolo_metrics::Phase;
@@ -110,9 +110,26 @@ struct CompactState {
     /// Relocation writes outstanding for the current extent.
     writes_left: u32,
     /// Journals receiving the relocated copies.
-    targets: Vec<DiskId>,
+    targets: Targets,
     /// Live bytes relocated so far.
     relocated: u64,
+}
+
+/// Disks receiving log appends for one logger pair: its mirror
+/// (RoLo-P), or its primary then its mirror (RoLo-R). Derefs to the
+/// disk slice, so the write path never allocates for it.
+#[derive(Debug, Clone, Copy)]
+struct Targets {
+    disks: [DiskId; 2],
+    len: usize,
+}
+
+impl std::ops::Deref for Targets {
+    type Target = [DiskId];
+
+    fn deref(&self) -> &[DiskId] {
+        &self.disks[..self.len]
+    }
 }
 
 /// Appends a record to `disk`'s journal, emitting the segment lifecycle
@@ -298,14 +315,13 @@ impl RoloPolicy {
     }
 
     /// Journals a dirty-map clear: the manifest gets the op at `lsn` and
-    /// every journal's live-extent index drops the range. Call at the
-    /// same instant the in-memory `clear_range` happens.
-    fn journal_clear(&mut self, pair: usize, off: u64, len: u64) {
+    /// the live-extent index of every journal in `owners` drops the
+    /// range (DESIGN.md §10). Call at the same instant the in-memory
+    /// clear happens, with the owner mask the dirty map returned for it.
+    fn journal_clear(&mut self, owners: u64, pair: usize, off: u64, len: u64) {
         let lsn = self.alloc_lsn();
         self.manifest.clear(lsn, pair, off, len);
-        for j in self.journals.values_mut() {
-            j.clear_extent(pair, off, len);
-        }
+        clear_owned_journals(&mut self.journals, owners, pair, off, len);
     }
 
     /// Archives every fully-dead sealed segment and retires expired
@@ -363,7 +379,7 @@ impl RoloPolicy {
         let targets = self.pair_targets(ctx, slot);
         self.compaction_gen += 1;
         ctx.emit(|| SimEvent::CompactionStart { pair: None });
-        let mut covered = targets.clone();
+        let mut covered = targets.to_vec();
         covered.push(disk);
         ctx.span_compaction_begin(None, &covered);
         self.compaction = Some(CompactState {
@@ -415,10 +431,10 @@ impl RoloPolicy {
         let Some((pair, _, len)) = st.current else {
             return;
         };
-        let targets = st.targets.clone();
+        let targets = st.targets;
         let period = self.period;
         let mut writes = 0u32;
-        for target in targets {
+        for &target in targets.iter() {
             let segs = self
                 .spaces
                 .get_mut(&target)
@@ -465,16 +481,19 @@ impl RoloPolicy {
         let Some((pair, lba, len)) = st.current.take() else {
             return;
         };
-        let (disk, segment) = (st.disk, st.segment);
-        let targets = st.targets.clone();
+        let (disk, segment, targets) = (st.disk, st.segment, st.targets);
         let period = self.period;
+        let owners = targets.iter().fold(0, |m, &t| m | owner_bit(t));
         // Clip to what the old segment still owns: a clear or overwrite
         // that raced the relocation I/O must not be re-logged.
         let pieces = self.journals[&disk].live_intersection(segment, pair, lba, len);
         let mut moved = 0;
         for (plba, plen) in pieces {
             let lsn = self.alloc_lsn();
-            for &t in &targets {
+            // The targets now hold live records for the piece: tag the
+            // dirty extents covering it with them.
+            self.dirty[pair].add_owners(plba, plen, owners);
+            for &t in targets.iter() {
                 let rid = journal_append(ctx, &mut self.journals, t, pair, period, plba, plen);
                 self.journals
                     .get_mut(&t)
@@ -679,13 +698,17 @@ impl RoloPolicy {
     }
 
     /// Disks receiving log appends for logger pair `j`.
-    fn pair_targets(&self, ctx: &SimCtx, j: usize) -> Vec<DiskId> {
+    fn pair_targets(&self, ctx: &SimCtx, j: usize) -> Targets {
+        let mirror = ctx.geometry().mirror_disk(j);
         match self.flavor {
-            RoloFlavor::Performance => vec![ctx.geometry().mirror_disk(j)],
-            RoloFlavor::Reliability => vec![
-                ctx.geometry().primary_disk(j),
-                ctx.geometry().mirror_disk(j),
-            ],
+            RoloFlavor::Performance => Targets {
+                disks: [mirror, mirror],
+                len: 1,
+            },
+            RoloFlavor::Reliability => Targets {
+                disks: [ctx.geometry().primary_disk(j), mirror],
+                len: 2,
+            },
         }
     }
 
@@ -843,11 +866,11 @@ impl RoloPolicy {
             ctx.spin_up(self.mirror(ctx, pair));
             return;
         }
-        match self.dirty[pair].take_next(self.chunk) {
-            Some((off, len)) => {
+        match self.dirty[pair].take_next_owned(self.chunk) {
+            Some((off, len, owners)) => {
                 // The extraction clears the range from the dirty map, so
                 // it is journaled as a manifest clear at this instant.
-                self.journal_clear(pair, off, len);
+                self.journal_clear(owners, pair, off, len);
                 self.chain_active[pair] = true;
                 let p = ctx.geometry().primary_disk(pair);
                 let id = ctx.submit(p, IoKind::Read, off, len, Priority::Background);
@@ -1035,7 +1058,7 @@ impl Policy for RoloPolicy {
                     // uncommitted record; the shared commit LSN is
                     // stamped when the request acknowledges.
 
-                    for target in self.pair_targets(ctx, slot) {
+                    for &target in self.pair_targets(ctx, slot).iter() {
                         for (i, ext) in exts.iter().enumerate() {
                             let segs = self
                                 .spaces
@@ -1106,19 +1129,21 @@ impl Policy for RoloPolicy {
                         // instant the dirty map mutates, sharing one LSN
                         // across the mirrored copies.
                         let lsn = self.alloc_lsn();
+                        let mut owners = 0;
                         for &(mi, d, rid) in &meta.appends {
                             if mi as usize == i {
                                 if let Some(j) = self.journals.get_mut(&d) {
                                     j.commit(rid, lsn);
+                                    owners |= owner_bit(d);
                                 }
                             }
                         }
-                        self.dirty[pair].mark(off, len);
+                        self.dirty[pair].mark_owned(off, len, owners);
                         self.after_dirty_change(ctx, pair);
                     }
                     for (pair, off, len) in meta.clears {
-                        self.journal_clear(pair, off, len);
-                        self.dirty[pair].clear_range(off, len);
+                        let owners = self.dirty[pair].clear_range(off, len);
+                        self.journal_clear(owners, pair, off, len);
                         self.after_dirty_change(ctx, pair);
                     }
                 }
@@ -1371,7 +1396,6 @@ impl Policy for RoloPolicy {
         if !self.io_map.is_empty() {
             return Err(format!("{} orphaned sub-requests", self.io_map.len()));
         }
-        let _ = self.logger_base;
         Ok(())
     }
 }

@@ -192,10 +192,45 @@ pub struct AppendOutcome {
 }
 
 /// A live extent in the per-pair index: its length and owning segment.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LiveExt {
     len: u64,
     slot: usize,
+}
+
+/// Bit of journal `disk` in a dirty extent's owner mask
+/// ([`DirtyMap::mark_owned`]).
+pub fn owner_bit(disk: usize) -> u64 {
+    1 << (disk % 64)
+}
+
+/// Applies a dirty-map clear of `[lba, lba+len)` of `pair` to the
+/// live-extent index of every journal whose bit is set in `owners`, the
+/// mask the dirty map returned for the cleared range.
+///
+/// Skipping the other journals is exact while each journal's live
+/// index for a pair lies inside that pair's dirty extents tagged with
+/// the journal: commits mark with their journals' bits, relocations add
+/// their targets' bits, and clears leave the dirty map and the indexes
+/// at the same instant. Debug builds check that every skipped journal
+/// holds nothing in the range.
+pub fn clear_owned_journals(
+    journals: &mut BTreeMap<usize, SegmentStore>,
+    owners: u64,
+    pair: usize,
+    lba: u64,
+    len: u64,
+) {
+    for (&disk, j) in journals.iter_mut() {
+        if owners & owner_bit(disk) != 0 {
+            j.clear_extent(pair, lba, len);
+        } else {
+            debug_assert!(
+                !j.has_live(pair, lba, len),
+                "journal {disk} holds live bytes outside its owner tag"
+            );
+        }
+    }
 }
 
 /// One logger disk's segment chain, live-extent index and archive.
@@ -400,21 +435,71 @@ impl SegmentStore {
         }
     }
 
-    /// Claims `[lba, lba+len)` of `pair` for `slot` in one tree walk:
-    /// overlapped bytes change owner (their old extents are trimmed or
-    /// dropped, exactly as a remove would), and contiguous same-slot
-    /// neighbours coalesce into the inserted extent. Coalescing keeps
-    /// the per-pair trees tiny under sequential appends without
-    /// changing per-segment live sums — `LiveExt` carries no record
-    /// identity. The single fused pass is the journal's hottest
-    /// operation (once per committed record), which is why remove and
-    /// insert are not separate walks.
+    /// Claims `[lba, lba+len)` of `pair` for `slot`: overlapped bytes
+    /// change owner (their old extents are trimmed or dropped, exactly
+    /// as a remove would), and contiguous same-slot neighbours coalesce
+    /// into the claimed extent. Coalescing keeps the per-pair trees tiny
+    /// under sequential appends without changing per-segment live sums
+    /// — `LiveExt` carries no record identity. This is the journal's
+    /// hottest operation (once per committed record).
+    ///
+    /// One descent to the last extent starting at or before the end
+    /// settles the common cases: a miss inserts, a same-slot
+    /// predecessor that overlaps or touches the claim grows in place,
+    /// and a foreign one is trimmed in place. Only an extent starting
+    /// inside `[lba, end]` takes [`claim_live_absorb`]'s loop. Because
+    /// only same-slot neighbours coalesce, the tree's shape is not
+    /// canonical; every path yields exactly the tree that loop yields.
+    ///
+    /// [`claim_live_absorb`]: Self::claim_live_absorb
     fn claim_live(&mut self, pair: usize, lba: u64, len: u64, slot: usize) {
         debug_assert!(len > 0);
         self.segments[slot].live += len;
         if pair >= self.live.len() {
             self.live.resize_with(pair + 1, BTreeMap::new);
         }
+        let tree = &mut self.live[pair];
+        let segments = &mut self.segments;
+        let end = lba + len;
+        let mut tail = None;
+        match tree.range_mut(..=end).next_back() {
+            Some((&poff, _)) if poff >= lba => {
+                self.claim_live_absorb(pair, lba, len, slot);
+                return;
+            }
+            Some((&poff, pext)) if pext.slot == slot && poff + pext.len >= lba => {
+                let pend = poff + pext.len;
+                segments[slot].live -= pend.min(end) - lba;
+                pext.len = pend.max(end) - poff;
+                return;
+            }
+            Some((&poff, pext)) if poff + pext.len > lba => {
+                let pend = poff + pext.len;
+                segments[pext.slot].live -= pend.min(end) - lba;
+                pext.len = lba - poff;
+                if pend > end {
+                    tail = Some((
+                        end,
+                        LiveExt {
+                            len: pend - end,
+                            slot: pext.slot,
+                        },
+                    ));
+                }
+            }
+            _ => {}
+        }
+        if let Some((off, ext)) = tail {
+            tree.insert(off, ext);
+        }
+        tree.insert(lba, LiveExt { len, slot });
+    }
+
+    /// The general claim, for when an extent starts inside `[lba,
+    /// lba+len]`: trims or absorbs the predecessor, then walks every
+    /// extent starting in the range. `slot`'s live count already
+    /// includes the claim.
+    fn claim_live_absorb(&mut self, pair: usize, lba: u64, len: u64, slot: usize) {
         let tree = &mut self.live[pair];
         let segments = &mut self.segments;
         let end = lba + len;
@@ -492,61 +577,59 @@ impl SegmentStore {
         );
     }
 
+    /// True if any live extent of `pair` overlaps `[lba, lba+len)`: one
+    /// probe for the last extent starting before the end.
+    fn has_live(&self, pair: usize, lba: u64, len: u64) -> bool {
+        self.live.get(pair).is_some_and(|tree| {
+            tree.range(..lba + len)
+                .next_back()
+                .is_some_and(|(&off, e)| off + e.len > lba)
+        })
+    }
+
     /// Removes `[lba, lba+len)` of `pair` from the index, splitting
     /// straddling extents (the pieces keep their original owner).
-    /// O(1) when the pair holds nothing — the common case for clears
-    /// fanned out across a pool of journals.
+    ///
+    /// One descent to the last extent starting before the end, then a
+    /// walk backwards over the overlapped extents: a straddling
+    /// predecessor is trimmed in place, extents starting inside leave in
+    /// one `extract_if` pass, and a piece past the end is re-keyed
+    /// there. A miss — the common case for clears fanned out across a
+    /// pool of journals — stops after the descent.
     fn remove_live(&mut self, pair: usize, lba: u64, len: u64) {
-        if len == 0 {
-            return;
-        }
-        let Some(tree) = self.live.get_mut(pair) else {
+        let Some(tree) = self.live.get_mut(pair).filter(|_| len > 0) else {
             return;
         };
-        if tree.is_empty() {
-            return;
-        }
         let segments = &mut self.segments;
         let end = lba + len;
-        // Predecessor straddling the start.
-        if let Some((&poff, &pext)) = tree
-            .range(..lba)
-            .next_back()
-            .filter(|(&poff, e)| poff + e.len > lba)
-        {
-            segments[pext.slot].live -= pext.len - (lba - poff);
-            tree.insert(
-                poff,
-                LiveExt {
-                    len: lba - poff,
-                    slot: pext.slot,
-                },
-            );
-            if poff + pext.len > end {
-                segments[pext.slot].live += poff + pext.len - end;
-                tree.insert(
+        let mut tail = None;
+        let mut inner = false;
+        for (&off, ext) in tree.range_mut(..end).rev() {
+            let ext_end = off + ext.len;
+            if ext_end <= lba {
+                break;
+            }
+            segments[ext.slot].live -= ext_end.min(end) - off.max(lba);
+            if ext_end > end {
+                tail = Some((
                     end,
                     LiveExt {
-                        len: poff + pext.len - end,
-                        slot: pext.slot,
+                        len: ext_end - end,
+                        slot: ext.slot,
                     },
-                );
+                ));
+            }
+            if off < lba {
+                ext.len = lba - off;
+            } else {
+                inner = true;
             }
         }
-        // Extents starting within the range.
-        while let Some((&soff, &sext)) = tree.range(lba..end).next() {
-            tree.remove(&soff);
-            segments[sext.slot].live -= sext.len;
-            if soff + sext.len > end {
-                segments[sext.slot].live += soff + sext.len - end;
-                tree.insert(
-                    end,
-                    LiveExt {
-                        len: soff + sext.len - end,
-                        slot: sext.slot,
-                    },
-                );
-            }
+        if inner {
+            tree.extract_if(lba..end, |_, _| true).for_each(drop);
+        }
+        if let Some((off, ext)) = tail {
+            tree.insert(off, ext);
         }
     }
 
@@ -1045,6 +1128,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Drives a store and a reference dirty map in lockstep the way a
     /// controller does, then checks replay reconstructs the reference.
@@ -1295,5 +1379,65 @@ mod tests {
         assert_eq!(out.records_scanned, 2);
         assert_eq!(out.applied_appends, 1);
         assert!(maps_equal(&out.maps[0], &h.reference));
+    }
+
+    /// A store with `n` sealed segments, so claims can name any slot.
+    fn store_with_slots(n: u64) -> SegmentStore {
+        let mut s = SegmentStore::new(1 << 20);
+        for id in 0..n {
+            s.segments.push(Segment {
+                id,
+                state: SegmentState::Sealed,
+                used: 0,
+                live: 0,
+                records: Vec::new(),
+                pending: 0,
+            });
+        }
+        s
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The live tree is not canonical (only same-slot neighbours
+        /// coalesce), so `claim_live`'s single-descent paths must build
+        /// exactly the tree — and the per-segment live sums — that the
+        /// general absorb loop builds, from every reachable shape.
+        #[test]
+        fn prop_claim_fast_paths_match_absorb_loop(
+            ops in proptest::collection::vec(
+                (0u8..4, 0usize..2, 0u64..2048, 1u64..384, 0usize..3),
+                1..150,
+            )
+        ) {
+            let mut s = store_with_slots(3);
+            for (op, pair, lba, len, slot) in ops {
+                if op == 0 {
+                    s.remove_live(pair, lba, len);
+                    continue;
+                }
+                let mut reference = s.clone();
+                reference.segments[slot].live += len;
+                if pair >= reference.live.len() {
+                    reference.live.resize_with(pair + 1, BTreeMap::new);
+                }
+                reference.claim_live_absorb(pair, lba, len, slot);
+                s.claim_live(pair, lba, len, slot);
+                prop_assert_eq!(&s.live, &reference.live);
+                let lives = |st: &SegmentStore| st.segments.iter().map(|g| g.live).collect::<Vec<_>>();
+                prop_assert_eq!(lives(&s), lives(&reference));
+                let mut by_slot = [0u64; 3];
+                for tree in &s.live {
+                    let mut prev_end = 0;
+                    for (&off, e) in tree {
+                        prop_assert!(e.len > 0 && off >= prev_end, "overlap at {}", off);
+                        prev_end = off + e.len;
+                        by_slot[e.slot] += e.len;
+                    }
+                }
+                prop_assert_eq!(by_slot.to_vec(), lives(&s));
+            }
+        }
     }
 }
