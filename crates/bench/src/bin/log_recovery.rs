@@ -109,9 +109,9 @@ fn main() {
     for ((scheme, disk, at), (report, spans)) in jobs.iter().zip(&runs) {
         let label = format!("{scheme} disk {disk} @ {at}s");
         expect_consistent(report, &label);
-        let metric = |name: &str| report.metrics.get(name).map(|m| m.value).unwrap_or(0.0);
-        let replays = metric("policy.log_replays");
-        let divergence = metric("policy.replay_divergence");
+        let policy = &report.policy;
+        let replays = policy.log_replays;
+        let divergence = policy.replay_divergence;
         let analysis = SpanAnalysis::analyze(&spans.requests);
         let attributed = analysis.all.attributed_fraction();
         println!(
@@ -120,18 +120,18 @@ fn main() {
             disk,
             at,
             replays,
-            metric("policy.torn_records"),
+            policy.torn_records,
             divergence,
-            metric("policy.segments_sealed"),
+            policy.segments_sealed,
             attributed * 100.0
         );
         if report.faults.disk_failures != 1 {
             failures.push(format!("{label}: fault never fired"));
         }
-        if replays < 1.0 {
+        if replays < 1 {
             failures.push(format!("{label}: no replay pass ran"));
         }
-        if divergence != 0.0 {
+        if divergence != 0 {
             failures.push(format!(
                 "{label}: replayed dirty maps diverged ({divergence} pairs)"
             ));

@@ -14,7 +14,7 @@ use rolo_disk::{DiskEnergyReport, IntegrityMap, PowerState, SchedulerKind};
 use rolo_metrics::{IntervalTracker, ResponseStats, Timeline};
 use rolo_obs::{critical_path, BgSpanKind, LegFlavor, SpanCollector, SpanSet, NUM_PHASES};
 use rolo_obs::{ExemplarRecorder, ExemplarSet};
-use rolo_obs::{MetricId, MetricsRegistry, NullSink, SimEvent, TraceSink};
+use rolo_obs::{NullSink, SimEvent, TraceSink};
 use rolo_obs::{
     Phase, RollupValue, SeriesId, SloAlert, SloMonitor, SloSignal, Telemetry, TelemetrySnapshot,
     WindowObservation,
@@ -178,10 +178,6 @@ pub struct SimCtx {
     /// Cached `tracer.enabled()`: the only cost tracing adds to an
     /// untraced hot path is this one branch per emit point.
     trace_on: bool,
-    /// Always-on, deterministic metrics published by the driver and
-    /// controllers; exported into the simulation report.
-    pub metrics: MetricsRegistry,
-    pub(crate) mids: CtxMetricIds,
     /// Per-request span collector, present only when span recording was
     /// enabled ([`SimCtx::enable_spans`]). The simulation never reads
     /// it, so recording cannot perturb outcomes.
@@ -253,19 +249,6 @@ struct CtxTelemetry {
     exemplars: Option<ExemplarRecorder>,
 }
 
-/// Pre-registered hot-path metric ids, so emit points index the registry
-/// without name lookups.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CtxMetricIds {
-    pub(crate) dispatches: MetricId,
-    pub(crate) dispatched_bytes: MetricId,
-    pub(crate) user_completions: MetricId,
-    pub(crate) response_us: MetricId,
-    pub(crate) disk_transitions: MetricId,
-    pub(crate) power_w: MetricId,
-    pub(crate) outstanding: MetricId,
-}
-
 impl SimCtx {
     /// Builds the context: one disk per [`SimConfig::disk_count`], each
     /// with a forked deterministic RNG stream. `standby` selects the
@@ -302,16 +285,6 @@ impl SimCtx {
             })
             .collect();
         let disk_count = cfg.disk_count();
-        let mut metrics = MetricsRegistry::new(Duration::from_secs(60));
-        let mids = CtxMetricIds {
-            dispatches: metrics.counter("io.dispatched"),
-            dispatched_bytes: metrics.counter("io.dispatched_bytes"),
-            user_completions: metrics.counter("sim.user_completions"),
-            response_us: metrics.histogram("sim.response_us"),
-            disk_transitions: metrics.counter("disk.state_transitions"),
-            power_w: metrics.gauge("sim.power_w"),
-            outstanding: metrics.gauge("sim.outstanding_users"),
-        };
         let telemetry = cfg.telemetry_enabled.then(|| {
             let mut hub = Telemetry::new(TELEMETRY_WINDOW, TELEMETRY_RETAIN);
             let response_us = hub.quantile("sim.response_us");
@@ -377,8 +350,6 @@ impl SimCtx {
             retired: HashMap::new(),
             tracer: sink,
             trace_on,
-            metrics,
-            mids,
             spans: None,
             destage_spans: HashMap::new(),
             rebuild_spans: HashMap::new(),
@@ -543,25 +514,14 @@ impl SimCtx {
         std::mem::replace(&mut self.tracer, Box::new(NullSink))
     }
 
-    /// Driver hook: refreshes the sampled gauges (array power draw,
-    /// outstanding user requests), snapshots every registry metric
-    /// into its timeline, and advances the telemetry windows. Called at
-    /// the driver's power-sampling cadence — telemetry piggybacks on
-    /// this existing hook instead of scheduling events of its own, so
-    /// it cannot perturb the event order.
+    /// Driver hook: samples the array power draw into the telemetry
+    /// hub, closes every elapsed window, and feeds each closed window
+    /// to the SLO monitor, emitting the resulting alerts as trace
+    /// events. Called at the driver's power-sampling cadence —
+    /// telemetry piggybacks on this existing hook instead of scheduling
+    /// events of its own, so it cannot perturb the event order.
     pub fn sample_metrics(&mut self) {
         let power = self.total_power_w();
-        let outstanding = self.outstanding.len() as f64;
-        self.metrics.set(self.mids.power_w, power);
-        self.metrics.set(self.mids.outstanding, outstanding);
-        self.metrics.snapshot(self.now);
-        self.telemetry_tick(power);
-    }
-
-    /// Samples the power gauge into the telemetry hub, closes every
-    /// elapsed window, and feeds each closed window to the SLO monitor,
-    /// emitting the resulting alerts as trace events.
-    fn telemetry_tick(&mut self, power: f64) {
         let now = self.now;
         let mut alerts = Vec::new();
         if let Some(tel) = &mut self.telemetry {
@@ -647,7 +607,6 @@ impl SimCtx {
         if after != before {
             self.power_soa[disk] = after;
             self.watts_soa[disk] = self.disks[disk].current_power_w();
-            self.metrics.inc(self.mids.disk_transitions, 1);
             if let Some(tel) = &mut self.telemetry {
                 tel.hub.add(tel.disk_transitions[disk], 1.0);
             }
@@ -716,8 +675,6 @@ impl SimCtx {
         if let Some(w) = self.disks[disk].submit(req, now) {
             self.pending_wakes.push((disk, w));
         }
-        self.metrics.inc(self.mids.dispatches, 1);
-        self.metrics.inc(self.mids.dispatched_bytes, bytes);
         if let Some(tel) = &mut self.telemetry {
             tel.hub.add(tel.dispatched_bytes, bytes as f64);
         }
@@ -932,9 +889,6 @@ impl SimCtx {
         if !self.degraded.is_empty() {
             self.degraded_responses.record(response);
         }
-        self.metrics.inc(self.mids.user_completions, 1);
-        self.metrics
-            .observe(self.mids.response_us, response.as_micros() as f64);
         if let Some(tel) = &mut self.telemetry {
             tel.hub.add(tel.completions, 1.0);
             tel.hub
@@ -1535,7 +1489,7 @@ impl SimCtx {
     // ------------------------------------------------------------------
 
     /// Starts rebuilding slot `plan.failed` onto its replacement disk:
-    /// `total_bytes` are copied in [`REBUILD_CHUNK`] chunks, read
+    /// `total_bytes` are copied in 1 MiB (`REBUILD_CHUNK`) chunks, read
     /// round-robin from the plan's participant disks and written to the
     /// replacement at background priority, so foreground I/O naturally
     /// throttles the rebuild via the idle-slot guard. A zero-byte rebuild

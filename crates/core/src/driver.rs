@@ -371,12 +371,8 @@ pub fn run_trace_observed<P: Policy>(
     }
     ctx.finalize_faults();
 
-    // Export fault and controller counters into the registry and take a
-    // final snapshot at the drained time, so exported timelines cover
-    // the whole run.
-    let fault_totals = ctx.faults.clone();
-    fault_totals.publish(&mut ctx.metrics);
-    policy.stats().publish(&mut ctx.metrics);
+    // A final telemetry tick at the drained time, so the closed windows
+    // cover the whole run.
     ctx.sample_metrics();
 
     let wall_total = wall_start.elapsed();
@@ -432,7 +428,6 @@ pub fn run_trace_observed<P: Policy>(
         faults: ctx.faults.clone(),
         degraded_responses: ctx.degraded_responses.clone(),
         consistency,
-        metrics: ctx.metrics.export(),
         profile,
     };
     let run_spans = ctx.take_spans();

@@ -4,7 +4,7 @@ use crate::faults::FaultMetrics;
 use crate::policy::PolicyStats;
 use rolo_disk::DiskEnergyReport;
 use rolo_metrics::{PhaseSummary, ResponseStats};
-use rolo_obs::{MetricsReport, RunProfile};
+use rolo_obs::RunProfile;
 use rolo_sim::Duration;
 use serde::{Deserialize, Map, Serialize, Value};
 
@@ -58,9 +58,6 @@ pub struct SimReport {
     pub degraded_responses: ResponseStats,
     /// `Ok` when the end-of-run consistency audit passed.
     pub consistency: Result<(), String>,
-    /// Deterministic export of the run's metrics registry (counters,
-    /// gauges, histograms and their snapshot timelines).
-    pub metrics: MetricsReport,
     /// Wall-clock profiling of the run. Non-deterministic: excluded
     /// from [`SimReport::deterministic_json`].
     pub profile: RunProfile,
@@ -149,7 +146,6 @@ mod tests {
             faults: FaultMetrics::default(),
             degraded_responses: ResponseStats::new(),
             consistency: Ok(()),
-            metrics: MetricsReport::default(),
             profile: RunProfile::default(),
         }
     }
@@ -173,7 +169,6 @@ mod tests {
         let v = serde_json::from_str(&json).expect("valid JSON");
         assert!(v.get("profile").is_none(), "profile stripped");
         assert!(v.get("scheme").is_some());
-        assert!(v.get("metrics").is_some());
 
         // Differing wall-clock profiles must not differ the output.
         let mut other = report(1.0, 100);

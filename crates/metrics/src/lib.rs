@@ -1,13 +1,14 @@
 #![warn(missing_docs)]
 //! Statistics collection for the RoLo simulator.
 //!
-//! The paper's evaluation reports four families of measurements, each
-//! served by one module here:
+//! The paper's evaluation reports its measurements through the modules
+//! here:
 //!
 //! * [`response`] — per-request response-time statistics (mean, extremes,
 //!   percentiles) backing every "average response time" figure;
-//! * [`histogram`] — the log-scaled latency histogram underlying the
-//!   percentile queries;
+//! * [`sketch`] — the mergeable log-bucketed quantile sketch, the one
+//!   quantile estimator behind response-time percentiles and every
+//!   telemetry quantile series;
 //! * [`intervals`] — phase tracking for logging/destaging periods, from
 //!   which the *destaging interval ratio* and *destaging energy ratio* of
 //!   Fig. 2 are computed;
@@ -17,12 +18,12 @@
 //! Energy itself is metered per disk in `rolo-disk`; this crate supplies
 //! the aggregation-side machinery.
 
-pub mod histogram;
 pub mod intervals;
 pub mod response;
+pub mod sketch;
 pub mod timeline;
 
-pub use histogram::{exact_percentile, LatencyHistogram};
 pub use intervals::{IntervalTracker, Phase, PhaseSummary};
 pub use response::ResponseStats;
+pub use sketch::{exact_percentile, QuantileSketch, SketchDigest};
 pub use timeline::Timeline;

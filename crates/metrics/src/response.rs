@@ -1,11 +1,11 @@
 //! Streaming response-time statistics.
 
-use crate::histogram::LatencyHistogram;
+use crate::sketch::QuantileSketch;
 use rolo_sim::Duration;
 use serde::{Deserialize, Serialize};
 
 /// Streaming response-time statistics: count, mean (Welford), extremes,
-/// plus a log-scaled histogram for percentile queries.
+/// plus a [`QuantileSketch`] of microseconds for percentile queries.
 ///
 /// # Example
 ///
@@ -26,7 +26,7 @@ pub struct ResponseStats {
     m2_us: f64,
     min: Duration,
     max: Duration,
-    histogram: LatencyHistogram,
+    sketch: QuantileSketch,
 }
 
 impl Default for ResponseStats {
@@ -44,7 +44,7 @@ impl ResponseStats {
             m2_us: 0.0,
             min: Duration::MAX,
             max: Duration::ZERO,
-            histogram: LatencyHistogram::new(),
+            sketch: QuantileSketch::new(),
         }
     }
 
@@ -57,7 +57,7 @@ impl ResponseStats {
         self.m2_us += delta * (x - self.mean_us);
         self.min = self.min.min(d);
         self.max = self.max.max(d);
-        self.histogram.record(d);
+        self.sketch.record(d.as_micros() as f64);
     }
 
     /// Number of recorded responses.
@@ -93,13 +93,17 @@ impl ResponseStats {
         (self.count > 0).then_some(self.max)
     }
 
-    /// Percentile query via the underlying histogram.
+    /// The `p`-th percentile (0–100) from the quantile sketch, rounded
+    /// to whole microseconds: within 1 % of the exact sample percentile
+    /// plus at most half a microsecond of rounding. `None` if empty.
     ///
     /// # Panics
     ///
     /// Panics if `p` is outside `[0, 100]`.
     pub fn percentile(&self, p: f64) -> Option<Duration> {
-        self.histogram.percentile(p)
+        self.sketch
+            .percentile(p)
+            .map(|us| Duration::from_micros(us.round() as u64))
     }
 
     /// Merges another collector into this one. The merged mean/variance
@@ -120,13 +124,14 @@ impl ResponseStats {
         self.count += other.count;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-        self.histogram.merge(&other.histogram);
+        self.sketch.merge(&other.sketch);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sketch::exact_percentile;
     use proptest::prelude::*;
 
     #[test]
@@ -185,7 +190,61 @@ mod tests {
         assert_eq!(c.mean(), Duration::from_millis(7));
     }
 
+    /// Raw draws for [`durations`]: a value and a power of ten.
+    fn draws() -> impl Strategy<Value = Vec<(u64, u64)>> {
+        proptest::collection::vec((1u64..100_000, 0u64..4), 1..300)
+    }
+
+    /// Response times from 1 µs up to ~100 s: each raw value times
+    /// its power of ten.
+    fn durations(raw: &[(u64, u64)]) -> Vec<Duration> {
+        raw.iter()
+            .map(|&(v, decade)| Duration::from_micros(v * 10u64.pow(decade as u32)))
+            .collect()
+    }
+
+    const LADDER: [f64; 7] = [0.0, 10.0, 50.0, 90.0, 95.0, 99.0, 100.0];
+
     proptest! {
+        #[test]
+        fn prop_percentiles_track_exact(raw in draws()) {
+            let ds = durations(&raw);
+            let mut s = ResponseStats::new();
+            for &d in &ds {
+                s.record(d);
+            }
+            let us: Vec<f64> = ds.iter().map(|d| d.as_micros() as f64).collect();
+            for p in LADDER {
+                let exact = exact_percentile(&us, p).unwrap();
+                let est = s.percentile(p).unwrap().as_micros() as f64;
+                // Sketch error (< 1 %) plus rounding to whole µs.
+                prop_assert!(
+                    (est - exact).abs() <= 0.01 * exact + 0.5,
+                    "p{}: est {} vs exact {}", p, est, exact
+                );
+            }
+        }
+
+        #[test]
+        fn prop_merge_matches_single_stream(a in draws(), b in draws()) {
+            let (a, b) = (durations(&a), durations(&b));
+            let mut whole = ResponseStats::new();
+            let mut left = ResponseStats::new();
+            let mut right = ResponseStats::new();
+            for &d in &a {
+                whole.record(d);
+                left.record(d);
+            }
+            for &d in &b {
+                whole.record(d);
+                right.record(d);
+            }
+            left.merge(&right);
+            for p in LADDER {
+                prop_assert_eq!(left.percentile(p), whole.percentile(p), "p{}", p);
+            }
+        }
+
         #[test]
         fn prop_mean_within_extremes(values in proptest::collection::vec(1u64..10_000_000, 1..100)) {
             let mut s = ResponseStats::new();

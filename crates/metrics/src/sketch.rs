@@ -1,11 +1,12 @@
 //! Mergeable streaming quantile sketch with log-scaled buckets.
 //!
-//! [`QuantileSketch`] is the always-on quantile engine of the telemetry
-//! pipeline (DESIGN.md §12): an HDR-style histogram whose bucket
-//! boundaries grow geometrically by [`GROWTH`] = 1.02, so any reported
-//! quantile is within `sqrt(1.02) − 1 ≈ 0.995 %` of the exact sample
-//! quantile — the ≤ 1 % relative-error bar — while storing only dense
-//! `u64` bucket counts. Because the state is a pure sum of per-sample
+//! [`QuantileSketch`] is the workspace's one quantile estimator: it
+//! backs [`ResponseStats`](crate::ResponseStats) percentiles and every
+//! telemetry quantile series (DESIGN.md §12). It is an HDR-style
+//! histogram whose bucket boundaries grow geometrically by [`GROWTH`] =
+//! 1.02, so any reported quantile is within `sqrt(1.02) − 1 ≈ 0.995 %`
+//! of the exact sample quantile ([`exact_percentile`]) — the ≤ 1 %
+//! relative-error bar — while storing only dense `u64` bucket counts. Because the state is a pure sum of per-sample
 //! one-hot increments plus order-independent aggregates (count, sum,
 //! min, max), [`QuantileSketch::merge`] is associative and commutative:
 //! per-shard or per-window sketches fold into fleet rollups in any
@@ -33,7 +34,7 @@ const MAX_BUCKETS: usize = 1400;
 /// # Example
 ///
 /// ```
-/// use rolo_obs::QuantileSketch;
+/// use rolo_metrics::QuantileSketch;
 ///
 /// let mut s = QuantileSketch::new();
 /// for us in 1..=1000u64 {
@@ -138,7 +139,7 @@ impl QuantileSketch {
     /// The `p`-th percentile (0–100), or `None` when empty.
     ///
     /// Uses the same rank convention as the exact reference
-    /// (`rolo_metrics::exact_percentile`): the value at 1-based rank
+    /// ([`exact_percentile`]): the value at 1-based rank
     /// `ceil(p/100 · n)`. The estimate is the geometric midpoint of the
     /// rank's bucket, clamped into `[min, max]` so degenerate sketches
     /// (single value, extreme p) stay exact.
@@ -242,9 +243,40 @@ pub struct SketchDigest {
     pub p99: Option<f64>,
 }
 
+/// Exact sample percentile over raw observations — the ground-truth
+/// reference every quantile estimate in the workspace is validated
+/// against. Returns the value at 1-based rank `ceil(p/100 · n)` of the
+/// sorted samples (`None` when empty), matching the rank convention of
+/// [`QuantileSketch::percentile`].
+///
+/// # Panics
+///
+/// Panics if `p` is outside `[0, 100]`.
+pub fn exact_percentile(samples: &[f64], p: f64) -> Option<f64> {
+    assert!((0.0..=100.0).contains(&p), "percentile out of range: {p}");
+    if samples.is_empty() {
+        return None;
+    }
+    let mut sorted: Vec<f64> = samples.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("non-NaN samples"));
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil().max(1.0) as usize;
+    Some(sorted[rank - 1])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn exact_percentile_rank_convention() {
+        assert_eq!(exact_percentile(&[], 50.0), None);
+        let v = [5.0, 1.0, 3.0, 2.0, 4.0];
+        assert_eq!(exact_percentile(&v, 0.0), Some(1.0));
+        assert_eq!(exact_percentile(&v, 50.0), Some(3.0));
+        assert_eq!(exact_percentile(&v, 100.0), Some(5.0));
+        // rank = ceil(0.95 * 5) = 5 → the max.
+        assert_eq!(exact_percentile(&v, 95.0), Some(5.0));
+    }
 
     #[test]
     fn empty_sketch_has_no_percentiles() {

@@ -5,8 +5,7 @@
 //! spin-up stalls — the bench matrix's dynamic range).
 
 use proptest::prelude::*;
-use rolo_metrics::exact_percentile;
-use rolo_obs::QuantileSketch;
+use rolo_metrics::{exact_percentile, QuantileSketch};
 
 /// One drawn sample stream: a scale index (spreads streams across the
 /// µs → multi-second latency decades) and raw values within the scale.

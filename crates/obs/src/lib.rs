@@ -1,6 +1,6 @@
 #![warn(missing_docs)]
 //! Observability layer for the RoLo simulator: typed trace events, trace
-//! sinks, a metrics registry and wall-clock run profiling.
+//! sinks, windowed telemetry and wall-clock run profiling.
 //!
 //! The simulator core stays agnostic of *how* events are consumed: every
 //! instrumented layer (driver, controllers, fault injection, rebuild)
@@ -11,11 +11,12 @@
 //! bounded ring buffer for post-mortem analysis (see the `trace_dump`
 //! binary in `rolo-bench`).
 //!
-//! Alongside the event stream, a [`MetricsRegistry`] holds named
-//! counters, gauges and histograms that controllers and the driver
-//! publish into. The registry is *always on* and fully deterministic —
-//! its export is embedded in the simulation report, so a run traced with
-//! a `RingSink` produces byte-identical results to an untraced run.
+//! Alongside the event stream, the [`Telemetry`] hub is the one path for
+//! named metric series: counters, gauges and quantile series rolled up
+//! into fixed simulated-time windows, feeding the [`SloMonitor`]. It
+//! reads no wall clock and the simulation never consults it, so a run
+//! traced with a `RingSink` produces byte-identical results to an
+//! untraced run. Quantiles come from `rolo_metrics::QuantileSketch`.
 //! Wall-clock profiling ([`RunProfile`]) is the one deliberately
 //! non-deterministic part and is excluded from deterministic
 //! serializations.
@@ -24,9 +25,7 @@ pub mod event;
 pub mod exemplar;
 pub mod profile;
 pub mod rca;
-pub mod registry;
 pub mod sink;
-pub mod sketch;
 pub mod slo;
 pub mod span;
 pub mod timeseries;
@@ -37,9 +36,7 @@ pub use exemplar::{
 };
 pub use profile::RunProfile;
 pub use rca::{Culprit, PhaseBlame, RcaReport, WindowRca};
-pub use registry::{MetricId, MetricKind, MetricSummary, MetricsRegistry, MetricsReport};
 pub use sink::{NullSink, RingSink, TraceSink};
-pub use sketch::{QuantileSketch, SketchDigest};
 pub use slo::{
     BurnRatePolicy, Quantile, SloAlert, SloMonitor, SloObjective, SloSignal, SloSpec,
     WindowObservation,

@@ -18,7 +18,7 @@
 //! never touches simulator state, so evaluating SLOs online cannot
 //! perturb a run.
 
-use crate::sketch::SketchDigest;
+use rolo_metrics::SketchDigest;
 use rolo_sim::Duration;
 use serde::Serialize;
 use std::collections::VecDeque;
@@ -330,7 +330,7 @@ impl SloMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sketch::QuantileSketch;
+    use rolo_metrics::QuantileSketch;
 
     fn policy() -> BurnRatePolicy {
         BurnRatePolicy {

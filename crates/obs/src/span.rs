@@ -15,11 +15,11 @@
 //! [`critical_path`] folds a finished span into per-phase totals that
 //! sum to the span's duration (walking backwards from completion along
 //! the longest-running legs), and [`SpanAnalysis`] aggregates those
-//! totals across requests into per-phase latency histograms — the data
+//! totals across requests into per-phase latency sketches — the data
 //! behind the `span_report` attribution table.
 
-use crate::sketch::QuantileSketch;
 use rolo_disk::{DiskId, ServiceBreakdown};
+use rolo_metrics::QuantileSketch;
 use rolo_sim::{Duration, SimTime};
 use rolo_trace::ReqKind;
 use serde::Serialize;

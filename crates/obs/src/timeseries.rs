@@ -19,7 +19,7 @@
 //! never consulted by the simulation itself — enabling or disabling
 //! telemetry cannot perturb outcomes.
 
-use crate::sketch::{QuantileSketch, SketchDigest};
+use rolo_metrics::{QuantileSketch, SketchDigest};
 use rolo_sim::{Duration, SimTime};
 use serde::Serialize;
 use std::collections::{BTreeMap, VecDeque};

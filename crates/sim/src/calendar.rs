@@ -8,7 +8,7 @@
 //! near-future bulk by hashing events into time buckets and only sorting a
 //! bucket when the clock enters it.
 //!
-//! [`CalendarQueue`] is a drop-in replacement for [`EventQueue`] — same
+//! [`CalendarQueue`] is a drop-in replacement for [`EventQueue`](crate::EventQueue) — same
 //! `(time, seq)` delivery contract, same clamp-past-to-now semantics, same
 //! lifetime counters — implemented as:
 //!

@@ -12,9 +12,10 @@
 //!   gear shifting), the simulation driver, recovery and rebuild;
 //! * [`parity`] — RoLo on RAID5 (the paper's §VII future work);
 //! * [`reliability`] — MTTDL models (CTMC solver + closed forms);
-//! * [`metrics`] — response-time, phase and timeline statistics;
-//! * [`obs`] — structured trace events, sinks, metrics registry and
-//!   run profiling (see `DESIGN.md` §9).
+//! * [`metrics`] — response-time, phase and timeline statistics and the
+//!   quantile sketch;
+//! * [`obs`] — structured trace events, sinks, windowed telemetry and
+//!   run profiling (see `DESIGN.md` §9 and §12).
 //!
 //! # Example
 //!

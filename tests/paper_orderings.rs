@@ -90,17 +90,4 @@ fn rolo_r_keeps_three_copies_of_every_logged_write() {
         report.policy.log_appended_bytes,
         written
     );
-    // The observability export carries the same counters.
-    let metric = |name: &str| {
-        report
-            .metrics
-            .get(name)
-            .unwrap_or_else(|| panic!("metric {name} missing"))
-            .value
-    };
-    assert_eq!(
-        metric("policy.log_appended_bytes") as u64,
-        report.policy.log_appended_bytes
-    );
-    assert_eq!(metric("policy.direct_writes") as u64, 0);
 }

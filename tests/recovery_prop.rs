@@ -160,14 +160,13 @@ proptest! {
             .consistency
             .as_ref()
             .unwrap_or_else(|e| panic!("{scheme}: {e}"));
-        let metric = |name: &str| report.metrics.get(name).map(|m| m.value).unwrap_or(0.0);
         prop_assert_eq!(report.faults.disk_failures, 1, "{}: fault never fired", scheme);
         prop_assert!(
-            metric("policy.log_replays") >= 1.0,
+            report.policy.log_replays >= 1,
             "{scheme}: killing journal disk {disk} ran no replay"
         );
         prop_assert_eq!(
-            metric("policy.replay_divergence"), 0.0,
+            report.policy.replay_divergence, 0,
             "{}: replayed dirty maps diverged from the controller's", scheme
         );
     }
@@ -243,7 +242,6 @@ fn crash_at(
         .consistency
         .as_ref()
         .unwrap_or_else(|e| panic!("{scheme}: {e}"));
-    let metric = |name: &str| report.metrics.get(name).map(|m| m.value).unwrap_or(0.0);
     prop_assert_eq!(
         report.faults.disk_failures,
         1,
@@ -251,12 +249,12 @@ fn crash_at(
         scheme
     );
     prop_assert!(
-        metric("policy.log_replays") >= 1.0,
+        report.policy.log_replays >= 1,
         "{scheme}: killing journal disk {disk} at {crash}us ran no replay"
     );
     prop_assert_eq!(
-        metric("policy.replay_divergence"),
-        0.0,
+        report.policy.replay_divergence,
+        0,
         "{}: replayed dirty maps diverged after a mid-lifecycle crash",
         scheme
     );
