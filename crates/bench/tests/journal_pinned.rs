@@ -50,8 +50,8 @@ fn digest(report: &SimReport) -> String {
 #[test]
 fn tight_logger_deactivation_is_pinned() {
     for (scheme, want) in [
-        (Scheme::RoloP, "5d85a87543e9a82b"),
-        (Scheme::RoloR, "fdda6023820d5fe2"),
+        (Scheme::RoloP, "c675e44bd5396d4d"),
+        (Scheme::RoloR, "8833a39222e9d75a"),
     ] {
         let report = tight_logger(scheme);
         assert!(
@@ -73,8 +73,8 @@ fn tight_logger_deactivation_is_pinned() {
 #[test]
 fn logger_failure_replay_is_pinned() {
     for (scheme, want) in [
-        (Scheme::RoloP, "75f9edd6b6e313a0"),
-        (Scheme::RoloR, "85c20d04635ac6ef"),
+        (Scheme::RoloP, "0757106f2a786f8b"),
+        (Scheme::RoloR, "ad6d0359bc8515cf"),
     ] {
         let report = logger_failure(scheme);
         assert!(report.policy.log_replays > 0, "{scheme}: no replay ran");
