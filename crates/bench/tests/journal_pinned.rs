@@ -1,7 +1,9 @@
-//! Pinned outputs of RoLo-P/R cells that the golden engine matrix never
-//! reaches: logging deactivation with direct writes and heavy
-//! compaction on a tiny logger region, and a mid-run logger failure
-//! that drives recovery-by-replay and the replayed-map install.
+//! Pinned outputs of logging cells that the golden engine matrix never
+//! reaches: RoLo-P/R logging deactivation with direct writes and heavy
+//! compaction on a tiny logger region, and mid-run failures of a
+//! journal-holding disk — a RoLo-P/R logger mirror, GRAID's dedicated
+//! log disk, a RoLo-E on-duty logger — that drive recovery-by-replay
+//! and the replayed-map install.
 //!
 //! Each cell pins the FNV-1a digest of the run's `deterministic_json`
 //! and asserts that the cell actually exercised its mechanism, so a
@@ -81,4 +83,37 @@ fn logger_failure_replay_is_pinned() {
         assert_eq!(report.policy.replay_divergence, 0, "{scheme}");
         assert_eq!(digest(&report), want, "{scheme}");
     }
+}
+
+/// Four pairs, a 128 MiB GRAID log, and the dedicated log disk (disk 8)
+/// failing half-way through the hour, after one whole-log destage cycle
+/// set the manifest's stable LSNs: the sole journal dies with it, so
+/// every pair with records above its watermark is lost to replay and
+/// the forced destage flushes it from the primaries.
+#[test]
+fn graid_log_disk_failure_replay_is_pinned() {
+    let mut cfg = SimConfig::paper_default(Scheme::Graid, 4);
+    cfg.graid_log_capacity = 128 << 20;
+    cfg.faults = FaultPlan::single(2 * 4, Duration::from_secs(1800));
+    let report = run(cfg, Duration::from_secs(3600));
+    assert!(report.policy.log_replays > 0, "no replay ran");
+    assert_eq!(report.policy.replay_divergence, 0);
+    assert!(report.policy.destage_cycles > 0, "never destaged");
+    assert_eq!(digest(&report), "c21dfaceacde1319");
+}
+
+/// Four pairs, a 256 MiB logger region, and the mirror of the on-duty
+/// logger pair (disk 5: the window rotated from pair 0 to pair 1 at the
+/// first destage cycle, ~785 s) failing half-way through the hour: the
+/// twin copies on the pair's primary replay every record, and the
+/// forced destage rotates the window off the degraded pair.
+#[test]
+fn roloe_on_duty_logger_failure_replay_is_pinned() {
+    let mut cfg = SimConfig::paper_default(Scheme::RoloE, 4);
+    cfg.logger_region = 256 << 20;
+    cfg.faults = FaultPlan::single(5, Duration::from_secs(1800));
+    let report = run(cfg, Duration::from_secs(3600));
+    assert!(report.policy.log_replays > 0, "no replay ran");
+    assert_eq!(report.policy.replay_divergence, 0);
+    assert_eq!(digest(&report), "1bcc821ea3b4109b");
 }
