@@ -8,7 +8,7 @@ use rolo_core::logspace::LoggerSpace;
 use rolo_core::segment::{clear_owned_journals, owner_bit, SegmentStore};
 use rolo_core::{dirty::DirtyMap, Scheme, SimConfig, SimCtx};
 use rolo_disk::{DiskParams, IoKind, Priority, ServiceModel};
-use rolo_sim::{CalendarQueue, Duration, EventQueue, SimRng, SimTime};
+use rolo_sim::{CalendarQueue, Duration, SimRng, SimTime};
 use rolo_trace::SyntheticConfig;
 use std::collections::BTreeMap;
 
@@ -37,19 +37,6 @@ fn bench_service_model(c: &mut Criterion) {
 }
 
 fn bench_event_queue(c: &mut Criterion) {
-    c.bench_function("event_queue_schedule_pop_1k", |b| {
-        let mut rng = SimRng::seed_from(4);
-        b.iter_batched(
-            EventQueue::<u32>::new,
-            |mut q| {
-                for i in 0..1000u32 {
-                    q.schedule(SimTime::from_micros(rng.below(1_000_000)), i);
-                }
-                while q.pop().is_some() {}
-            },
-            BatchSize::SmallInput,
-        );
-    });
     c.bench_function("calendar_queue_schedule_pop_1k", |b| {
         let mut rng = SimRng::seed_from(4);
         b.iter_batched(
@@ -65,7 +52,7 @@ fn bench_event_queue(c: &mut Criterion) {
     });
     // Steady-state churn: the event-loop shape — pop one, schedule a
     // near-future follow-up — where the calendar's O(1) bucket insert
-    // pays off over the heap's log n.
+    // pays off.
     c.bench_function("calendar_queue_churn_16k", |b| {
         let mut rng = SimRng::seed_from(14);
         b.iter_batched(

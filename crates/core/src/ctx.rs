@@ -7,6 +7,7 @@
 
 use crate::config::{SimConfig, SLO_BURN, TELEMETRY_RETAIN, TELEMETRY_WINDOW};
 use crate::faults::{surviving_partner, FaultMetrics, FaultPlan};
+use crate::rebuild::REBUILD_CHUNK;
 use crate::recovery::RecoveryPlan;
 use crate::slot::{IoSlab, IoSlot};
 use rolo_disk::{Disk, DiskId, DiskParams, DiskRequest, DiskWake, IoKind, IoOutcome, Priority};
@@ -23,10 +24,6 @@ use rolo_raid::ArrayGeometry;
 use rolo_sim::{Duration, IoMap, SimRng, SimTime};
 use rolo_trace::ReqKind;
 use std::collections::HashMap;
-
-/// Bytes per rebuild chunk (matches the offline engine in
-/// [`crate::rebuild`]).
-const REBUILD_CHUNK: u64 = 1 << 20;
 
 /// Rebuild read/write chains kept in flight per degraded slot. Depth
 /// beyond the disk's own queue buys nothing: rebuild I/O is background
@@ -1489,7 +1486,7 @@ impl SimCtx {
     // ------------------------------------------------------------------
 
     /// Starts rebuilding slot `plan.failed` onto its replacement disk:
-    /// `total_bytes` are copied in 1 MiB (`REBUILD_CHUNK`) chunks, read
+    /// `total_bytes` are copied in [`REBUILD_CHUNK`] chunks, read
     /// round-robin from the plan's participant disks and written to the
     /// replacement at background priority, so foreground I/O naturally
     /// throttles the rebuild via the idle-slot guard. A zero-byte rebuild

@@ -8,9 +8,9 @@
 //! near-future bulk by hashing events into time buckets and only sorting a
 //! bucket when the clock enters it.
 //!
-//! [`CalendarQueue`] is a drop-in replacement for [`EventQueue`](crate::EventQueue) — same
-//! `(time, seq)` delivery contract, same clamp-past-to-now semantics, same
-//! lifetime counters — implemented as:
+//! [`CalendarQueue`] delivers events in `(time, seq)` order, clamps
+//! past-due schedules to now and keeps lifetime counters — the contract a
+//! binary heap keyed by `(time, seq)` would give — implemented as:
 //!
 //! - a **ring of `N` buckets**, each `W` microseconds wide, covering the
 //!   absolute-time window `[cur_win·W, (cur_win+N)·W)`. An event due in
@@ -30,7 +30,8 @@
 //! in the queue, so re-sorting the remainder can never reorder it ahead of
 //! an event that should already have fired.
 //!
-//! Invariants (checked by debug assertions and `tests/queue_diff.rs`):
+//! Invariants (checked by debug assertions, and the delivery contract by
+//! `tests/queue_diff.rs` against an ordered-map reference model):
 //!
 //! 1. At every public-API boundary, `now` lies inside the current window
 //!    (or the queue has never popped and both sit at zero), so a schedule
@@ -41,9 +42,44 @@
 //! 3. `len == ring_len + overflow.len()` and
 //!    `scheduled_total == popped_total + len`.
 
-use crate::queue::{FutureEventList, ScheduledEvent};
 use crate::time::SimTime;
+use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
+
+/// An event held in the queue: a payload tagged with its due time.
+#[derive(Debug, Clone)]
+pub struct ScheduledEvent<T> {
+    /// When the event fires.
+    pub time: SimTime,
+    /// Monotonic insertion index; ties on `time` fire in insertion order.
+    pub seq: u64,
+    /// The caller-defined event payload.
+    pub payload: T,
+}
+
+impl<T> PartialEq for ScheduledEvent<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.time == other.time && self.seq == other.seq
+    }
+}
+impl<T> Eq for ScheduledEvent<T> {}
+
+impl<T> PartialOrd for ScheduledEvent<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> Ord for ScheduledEvent<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed: BinaryHeap is a max-heap, the overflow tier wants
+        // earliest-first.
+        other
+            .time
+            .cmp(&self.time)
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
 
 /// Default bucket width: 2^13 µs ≈ 8 ms — a few disk service times per
 /// bucket under load. Wider buckets mean a physically smaller ring (the
@@ -58,13 +94,18 @@ const DEFAULT_WIDTH_SHIFT: u32 = 13;
 const DEFAULT_BUCKET_SHIFT: u32 = 9;
 
 /// A two-tier calendar queue: near-future bucketed ring plus far-future
-/// overflow heap. Drop-in replacement for [`EventQueue`] with identical
-/// observable behavior (see [`FutureEventList`]).
+/// overflow heap.
+///
+/// Events are delivered in non-decreasing `(time, seq)` order, `seq` is
+/// a monotonic per-queue schedule counter, scheduling in the past clamps
+/// to `now` (and panics in debug builds), and the lifetime counters
+/// account for every event exactly once, across [`clear`](Self::clear)
+/// too.
 ///
 /// # Example
 ///
 /// ```
-/// use rolo_sim::{CalendarQueue, FutureEventList, SimTime};
+/// use rolo_sim::{CalendarQueue, SimTime};
 ///
 /// let mut q = CalendarQueue::new();
 /// q.schedule(SimTime::from_micros(10), 'b');
@@ -74,8 +115,6 @@ const DEFAULT_BUCKET_SHIFT: u32 = 9;
 /// let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
 /// assert_eq!(order, vec!['a', 'b', 'c', 'd']);
 /// ```
-///
-/// [`EventQueue`]: crate::EventQueue
 #[derive(Debug, Clone)]
 pub struct CalendarQueue<T> {
     /// Ring of buckets; slot for window `w` is `w & mask`.
@@ -225,8 +264,9 @@ impl<T> CalendarQueue<T> {
         self.now
     }
 
-    /// Schedules `payload` to fire at `time` (see
-    /// [`FutureEventList::schedule`] for the past-clamp contract).
+    /// Schedules `payload` to fire at `time`, returning its sequence
+    /// number. Scheduling in the past is a caller logic error: debug
+    /// builds panic, release builds clamp the event to fire "now".
     pub fn schedule(&mut self, time: SimTime, payload: T) -> u64 {
         debug_assert!(
             time >= self.now,
@@ -359,41 +399,6 @@ impl<T> CalendarQueue<T> {
     }
 }
 
-impl<T> FutureEventList<T> for CalendarQueue<T> {
-    #[inline]
-    fn now(&self) -> SimTime {
-        CalendarQueue::now(self)
-    }
-    #[inline]
-    fn schedule(&mut self, time: SimTime, payload: T) -> u64 {
-        CalendarQueue::schedule(self, time, payload)
-    }
-    #[inline]
-    fn pop(&mut self) -> Option<ScheduledEvent<T>> {
-        CalendarQueue::pop(self)
-    }
-    #[inline]
-    fn peek_time(&self) -> Option<SimTime> {
-        CalendarQueue::peek_time(self)
-    }
-    #[inline]
-    fn len(&self) -> usize {
-        CalendarQueue::len(self)
-    }
-    #[inline]
-    fn clear(&mut self) {
-        CalendarQueue::clear(self)
-    }
-    #[inline]
-    fn scheduled_total(&self) -> u64 {
-        CalendarQueue::scheduled_total(self)
-    }
-    #[inline]
-    fn popped_total(&self) -> u64 {
-        CalendarQueue::popped_total(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,7 +511,7 @@ mod tests {
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.overflow_len(), 0);
-        // Counters survive clear, matching EventQueue.
+        // Counters survive clear.
         assert_eq!(q.scheduled_total(), 2);
         assert_eq!(q.popped_total(), 0);
         // Scheduling after clear still delivers.

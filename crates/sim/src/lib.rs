@@ -4,8 +4,7 @@
 //! This crate provides the substrate that the disk model, RAID layer and
 //! logging controllers are built on: a microsecond-resolution simulated
 //! clock ([`SimTime`], [`Duration`]), a deterministic event queue
-//! ([`CalendarQueue`], which every simulation loop uses; the binary-heap
-//! [`EventQueue`] stays as its differential-test reference), and seeded
+//! ([`CalendarQueue`], which every simulation loop uses), and seeded
 //! random-number plumbing ([`rng`]).
 //!
 //! The engine is deliberately *not* generic over an event trait object
@@ -29,13 +28,11 @@
 
 pub mod calendar;
 pub mod fastmap;
-pub mod queue;
 pub mod rng;
 pub mod schedule;
 pub mod time;
 
-pub use calendar::CalendarQueue;
+pub use calendar::{CalendarQueue, ScheduledEvent};
 pub use fastmap::{IdHasher, IoMap, IoSet};
-pub use queue::{EventQueue, FutureEventList, ScheduledEvent};
 pub use rng::SimRng;
 pub use time::{Duration, SimTime};
