@@ -12,12 +12,12 @@
 
 use crate::config::{SimConfig, SCRUB_INTERVAL};
 use crate::ctx::{ShockEffect, SimCtx, WakeKind};
+use crate::observe::{Observer, RunObservations};
 use crate::policy::Policy;
 use crate::report::SimReport;
 use rolo_disk::{DiskEnergyReport, DiskId, DiskRequest, DiskWake, IoOutcome};
 use rolo_metrics::Phase;
-use rolo_obs::{ExemplarSet, RcaReport};
-use rolo_obs::{NullSink, RunProfile, SimEvent, SloAlert, SpanSet, TelemetrySnapshot, TraceSink};
+use rolo_obs::{NullSink, RunProfile, SimEvent, TraceSink};
 use rolo_sim::{CalendarQueue, Duration, SimTime};
 use rolo_trace::TraceRecord;
 use std::time::Instant;
@@ -47,30 +47,6 @@ enum Event {
     /// Periodic scrub scheduling slot (only scheduled when enabled).
     ScrubTick,
     TraceEnd,
-}
-
-/// Everything a run observed out-of-band of its [`SimReport`]: the
-/// trace sink, per-request spans (when enabled), the telemetry
-/// snapshot (when enabled) and every SLO alert raised online. All of
-/// it is observational — none of it feeds back into the simulation —
-/// so the report stays byte-identical no matter which parts are on.
-#[derive(Debug)]
-pub struct RunObservations {
-    /// The trace sink handed in by the caller, for draining.
-    pub sink: Box<dyn TraceSink>,
-    /// Completed request/background spans, when span recording was on.
-    pub spans: Option<SpanSet>,
-    /// Retained telemetry windows, when telemetry was on.
-    pub telemetry: Option<TelemetrySnapshot>,
-    /// SLO alerts raised during the run, in emission order.
-    pub slo_alerts: Vec<SloAlert>,
-    /// Windowed tail exemplars (the top-k slowest spans per telemetry
-    /// window, DESIGN.md §14), when capture was on. Empty unless span
-    /// recording also ran — the recorder needs finished spans.
-    pub exemplars: Option<ExemplarSet>,
-    /// Root-cause attribution of every SLO alert window, when
-    /// [`crate::SimConfig::rca_enabled`].
-    pub rca: Option<RcaReport>,
 }
 
 /// Snapshot captured at the `TraceEnd` marker.
@@ -120,13 +96,8 @@ pub fn run_trace_observed<P: Policy>(
     let standby: Vec<bool> = (0..cfg.disk_count())
         .map(|d| policy.initial_standby(d))
         .collect();
-    let mut ctx = SimCtx::with_sink(cfg, geometry, &standby, sink);
-    if spans || cfg.rca_enabled {
-        // RCA needs finished spans for exemplar critical paths and
-        // `delayed_by` causality; span recording is observational, so
-        // forcing it on cannot change the report.
-        ctx.enable_spans();
-    }
+    let obs = Observer::new(cfg, sink, spans);
+    let mut ctx = SimCtx::with_observer(cfg, geometry, &standby, obs);
     // The future-event list: a bucketed calendar queue delivering in
     // `(time, seq)` order (differentially tested against an ordered-map
     // model in `rolo-sim`). The two drain scratch vectors are reused
@@ -293,7 +264,7 @@ pub fn run_trace_observed<P: Policy>(
                         // An aborted sub-I/O never completes on the media:
                         // drop its span tag (the error path may re-tag a
                         // redirected replacement under a fresh id).
-                        ctx.untag_io(req.id);
+                        ctx.obs.untag_io(req.id);
                         policy.on_io_error(&mut ctx, d, req, IoOutcome::DiskDead);
                     }
                 }
@@ -341,7 +312,7 @@ pub fn run_trace_observed<P: Policy>(
                 let w = ctx.total_power_w();
                 let now = ctx.now;
                 ctx.power_timeline.push(now, w);
-                ctx.sample_metrics();
+                ctx.obs.sample(now, w);
                 if now + sample_every < trace_end {
                     queue.schedule(now + sample_every, Event::PowerSample);
                 }
@@ -373,11 +344,12 @@ pub fn run_trace_observed<P: Policy>(
 
     // A final telemetry tick at the drained time, so the closed windows
     // cover the whole run.
-    ctx.sample_metrics();
+    ctx.obs.sample(ctx.now, ctx.total_power_w());
 
     let wall_total = wall_start.elapsed();
     let wall_replay = wall_replay.unwrap_or(wall_total);
-    let sink = ctx.take_sink();
+    let obs = ctx.obs.finish();
+    let sink = &obs.sink;
     let profile = RunProfile {
         sink: sink.name().to_string(),
         wall_replay_us: wall_replay.as_micros() as u64,
@@ -429,27 +401,6 @@ pub fn run_trace_observed<P: Policy>(
         degraded_responses: ctx.degraded_responses.clone(),
         consistency,
         profile,
-    };
-    let run_spans = ctx.take_spans();
-    let exemplars = ctx.take_exemplars();
-    let slo_alerts = ctx.take_slo_alerts();
-    let rca = cfg.rca_enabled.then(|| {
-        let bg: &[rolo_obs::BgSpan] = run_spans
-            .as_ref()
-            .map(|s| s.background.as_slice())
-            .unwrap_or(&[]);
-        let exm = exemplars
-            .as_ref()
-            .expect("rca_enabled implies exemplar capture (SimConfig::check)");
-        rolo_obs::rca::analyze(&slo_alerts, exm, bg)
-    });
-    let obs = RunObservations {
-        sink,
-        spans: run_spans,
-        telemetry: ctx.take_telemetry(),
-        slo_alerts,
-        exemplars,
-        rca,
     };
     (report, policy, obs)
 }

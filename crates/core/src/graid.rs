@@ -14,7 +14,6 @@
 
 use crate::ctx::SimCtx;
 use crate::dirty::DirtyMap;
-use crate::faults::surviving_partner;
 use crate::journal::{PendingAppend, PolicyLog, ALL_JOURNALS};
 use crate::logspace::LoggerSpace;
 use crate::policy::{Policy, PolicyStats};
@@ -22,7 +21,7 @@ use crate::recovery::recovery_plan;
 use crate::slot::IoSlot;
 use rolo_disk::{DiskId, DiskRequest, IoKind, IoOutcome, Priority};
 use rolo_metrics::Phase;
-use rolo_obs::{LegFlavor, SimEvent};
+use rolo_obs::{BgSpanKind, LegFlavor, SimEvent};
 use rolo_sim::{Duration, IoMap};
 use rolo_trace::{ReqKind, TraceRecord};
 
@@ -148,7 +147,7 @@ impl GraidPolicy {
         // A whole-log destage cycle touches every disk in the array
         // (reads from primaries, writes to every mirror).
         let all: Vec<DiskId> = (0..ctx.disk_count()).collect();
-        ctx.span_destage_begin(None, &all);
+        ctx.span_begin(BgSpanKind::Destage, None, &all);
         let energy = ctx.total_energy();
         if let Some(tok) = self.logging_token.take() {
             ctx.intervals
@@ -209,7 +208,7 @@ impl GraidPolicy {
         self.period += 1;
         self.stats.destage_cycles += 1;
         ctx.emit(|| SimEvent::DestageEnd { pair: None });
-        ctx.span_destage_end(None);
+        ctx.span_end(BgSpanKind::Destage, None);
         self.logging_token = Some(ctx.intervals.begin(Phase::Logging, ctx.now));
         if !self.draining {
             for pair in 0..self.pairs {
@@ -249,21 +248,24 @@ impl Policy for GraidPolicy {
         match rec.kind {
             ReqKind::Read => {
                 for ext in &exts {
-                    let mut d = ctx.geometry().primary_disk(ext.pair);
-                    let mut flavor = LegFlavor::Transfer;
-                    if ctx.is_degraded(d) {
+                    let d = ctx.geometry().primary_disk(ext.pair);
+                    let id = if ctx.is_degraded(d) {
                         // Degraded mode: the mirror absorbs the primary's
                         // reads until its rebuild completes (§III-C).
-                        let from = d;
-                        d = ctx.geometry().mirror_disk(ext.pair);
-                        flavor = LegFlavor::DegradedRedirect;
-                        ctx.note_redirect();
-                        ctx.emit(|| SimEvent::ReadRedirected { from, to: d });
-                    }
-                    let id =
-                        ctx.submit(d, IoKind::Read, ext.offset, ext.bytes, Priority::Foreground);
+                        ctx.redirect_read(d, ext.offset, ext.bytes, user_id)
+                            .expect("double faults are suppressed: the mirror is live")
+                    } else {
+                        let id = ctx.submit(
+                            d,
+                            IoKind::Read,
+                            ext.offset,
+                            ext.bytes,
+                            Priority::Foreground,
+                        );
+                        ctx.tag_io(id, user_id, LegFlavor::Transfer);
+                        id
+                    };
                     self.io_map.insert(id, Tag::User(user_id, uslot));
-                    ctx.tag_io(id, user_id, flavor);
                     subs += 1;
                 }
             }
@@ -395,16 +397,9 @@ impl Policy for GraidPolicy {
         // replacement's copy).
         if req.kind == IoKind::Read && (outcome == IoOutcome::MediaError || ctx.is_degraded(disk)) {
             if let Some(Tag::User(user, uslot)) = self.io_map.get(&req.id).copied() {
-                if let Some(p) =
-                    surviving_partner(ctx.geometry(), disk).filter(|&p| !ctx.is_degraded(p))
-                {
+                if let Some(id) = ctx.redirect_read(disk, req.offset, req.bytes, user) {
                     self.io_map.remove(&req.id);
-                    ctx.note_redirect();
-                    ctx.emit(|| SimEvent::ReadRedirected { from: disk, to: p });
-                    let id =
-                        ctx.submit(p, IoKind::Read, req.offset, req.bytes, Priority::Foreground);
                     self.io_map.insert(id, Tag::User(user, uslot));
-                    ctx.tag_io(id, user, LegFlavor::DegradedRedirect);
                     return;
                 }
             }

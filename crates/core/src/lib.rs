@@ -34,6 +34,7 @@ pub mod faults;
 pub mod graid;
 pub mod journal;
 pub mod logspace;
+pub mod observe;
 pub mod paraid;
 pub mod policy;
 pub mod raid10;
@@ -47,9 +48,10 @@ pub mod slot;
 
 pub use config::{ConfigError, Scheme, SimConfig};
 pub use ctx::SimCtx;
-pub use driver::{run_scheme, run_scheme_observed, run_trace_observed, RunObservations};
+pub use driver::{run_scheme, run_scheme_observed, run_trace_observed};
 pub use faults::{surviving_partner, FaultMetrics, FaultPlan, FaultPlanError};
 pub use graid::GraidPolicy;
+pub use observe::RunObservations;
 pub use paraid::ParaidPolicy;
 pub use policy::{Policy, PolicyStats};
 pub use raid10::Raid10Policy;

@@ -28,7 +28,7 @@ use crate::logspace::LoggerSpace;
 use crate::policy::{Policy, PolicyStats};
 use crate::slot::IoSlot;
 use rolo_disk::{DiskId, DiskRequest, IoKind, Priority};
-use rolo_obs::LegFlavor;
+use rolo_obs::{BgSpanKind, LegFlavor};
 use rolo_sim::{Duration, IoMap, SimTime};
 use rolo_trace::{ReqKind, TraceRecord};
 
@@ -191,7 +191,7 @@ impl ParaidPolicy {
         }
         self.syncing = true;
         let all: Vec<DiskId> = (0..ctx.disk_count()).collect();
-        ctx.span_destage_begin(None, &all);
+        ctx.span_begin(BgSpanKind::Destage, None, &all);
         for pair in 0..self.pairs {
             self.pump(ctx, pair);
         }
@@ -221,7 +221,7 @@ impl ParaidPolicy {
             return;
         }
         self.syncing = false;
-        ctx.span_destage_end(None);
+        ctx.span_end(BgSpanKind::Destage, None);
         self.stats.destage_cycles += 1;
         for shadow in &mut self.shadows {
             shadow.reclaim(|_| true);
@@ -470,7 +470,7 @@ impl Policy for ParaidPolicy {
                 shadow.reclaim(|_| true);
             }
             self.syncing = false;
-            ctx.span_destage_end(None);
+            ctx.span_end(BgSpanKind::Destage, None);
         }
     }
 

@@ -74,13 +74,15 @@ pub trait Policy {
     /// A user request arrives. `user_id` is pre-registered by the policy
     /// via [`SimCtx::register_user`] inside this call.
     ///
-    /// When span tracing is enabled ([`SimCtx::enable_spans`]), policies
-    /// additionally tag every *foreground* sub-I/O they submit on behalf
-    /// of the request with [`SimCtx::tag_io`], naming the phase the leg
-    /// contributes to (`Transfer` for the primary in-place copy,
-    /// `MirrorCopy` for the second copy, `LogAppend` for log-region
+    /// When span tracing is enabled (the `spans` flag of
+    /// [`crate::run_trace_observed`], or `SimConfig::rca_enabled`),
+    /// policies additionally tag every *foreground* sub-I/O they submit
+    /// on behalf of the request with [`SimCtx::tag_io`], naming the
+    /// phase the leg contributes to (`Transfer` for the primary in-place
+    /// copy, `MirrorCopy` for the second copy, `LogAppend` for log-region
     /// appends, `DegradedRedirect` for reads re-served by a surviving
-    /// partner). `tag_io` is a no-op when spans are disabled, so the
+    /// partner through [`SimCtx::redirect_read`]). `tag_io` is a no-op
+    /// when spans are disabled, so the
     /// calls cost nothing on the fast path; background I/O (destage,
     /// rebuild, cache fill) stays untagged and is attributed to requests
     /// indirectly, through the interference windows the disks record.

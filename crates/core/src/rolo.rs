@@ -31,7 +31,6 @@
 
 use crate::ctx::SimCtx;
 use crate::dirty::DirtyMap;
-use crate::faults::surviving_partner;
 use crate::journal::{PendingAppend, PolicyLog};
 use crate::logspace::LoggerSpace;
 use crate::policy::{Policy, PolicyStats};
@@ -40,7 +39,7 @@ use crate::segment::owner_bit;
 use crate::slot::IoSlot;
 use rolo_disk::{DiskId, DiskRequest, IoKind, IoOutcome, Priority};
 use rolo_metrics::Phase;
-use rolo_obs::{LegFlavor, SimEvent};
+use rolo_obs::{BgSpanKind, LegFlavor, SimEvent};
 use rolo_sim::{Duration, IoMap};
 use rolo_trace::{ReqKind, TraceRecord};
 use std::collections::BTreeMap;
@@ -286,7 +285,7 @@ impl RoloPolicy {
         ctx.emit(|| SimEvent::CompactionStart { pair: None });
         let mut covered = targets.to_vec();
         covered.push(disk);
-        ctx.span_compaction_begin(None, &covered);
+        ctx.span_begin(BgSpanKind::Compaction, None, &covered);
         self.compaction = Some(CompactState {
             gen: self.compaction_gen,
             disk,
@@ -418,7 +417,7 @@ impl RoloPolicy {
             relocated_bytes,
         });
         ctx.emit(|| SimEvent::CompactionEnd { pair: None });
-        ctx.span_compaction_end(None);
+        ctx.span_end(BgSpanKind::Compaction, None);
         // The compacted segment is usually fully dead now.
         self.journal.sweep(ctx);
     }
@@ -428,7 +427,7 @@ impl RoloPolicy {
     fn cancel_compaction(&mut self, ctx: &mut SimCtx) {
         if self.compaction.take().is_some() {
             ctx.emit(|| SimEvent::CompactionEnd { pair: None });
-            ctx.span_compaction_end(None);
+            ctx.span_end(BgSpanKind::Compaction, None);
         }
     }
 
@@ -561,7 +560,11 @@ impl RoloPolicy {
         // The destage chain reads the pair's primary and writes its
         // mirror; foreground legs stuck behind those transfers link here.
         let p = ctx.geometry().primary_disk(pair);
-        ctx.span_destage_begin(Some(pair), &[p, self.mirror(ctx, pair)]);
+        ctx.span_begin(
+            BgSpanKind::Destage,
+            Some(pair),
+            &[p, self.mirror(ctx, pair)],
+        );
         self.destage_tokens[pair] = Some(ctx.intervals.begin(Phase::Destaging, ctx.now));
         let m = self.mirror(ctx, pair);
         if ctx.disk(m).is_spun_up() {
@@ -706,7 +709,7 @@ impl RoloPolicy {
         self.destage_active[pair] = false;
         self.stats.destage_cycles += 1;
         ctx.emit(|| SimEvent::DestageEnd { pair: Some(pair) });
-        ctx.span_destage_end(Some(pair));
+        ctx.span_end(BgSpanKind::Destage, Some(pair));
         // Proactive reclamation: every log copy of this pair, anywhere in
         // the pool, is now stale.
         for space in self.spaces.values_mut() {
@@ -819,19 +822,22 @@ impl Policy for RoloPolicy {
                 // spin-up latency on reads (§III-B1). A degraded primary
                 // slot hands its reads to the pair's mirror (§III-C).
                 for ext in &exts {
-                    let mut d = ctx.geometry().primary_disk(ext.pair);
-                    let mut flavor = LegFlavor::Transfer;
-                    if ctx.is_degraded(d) {
-                        let from = d;
-                        d = ctx.geometry().mirror_disk(ext.pair);
-                        flavor = LegFlavor::DegradedRedirect;
-                        ctx.note_redirect();
-                        ctx.emit(|| SimEvent::ReadRedirected { from, to: d });
-                    }
-                    let id =
-                        ctx.submit(d, IoKind::Read, ext.offset, ext.bytes, Priority::Foreground);
+                    let d = ctx.geometry().primary_disk(ext.pair);
+                    let id = if ctx.is_degraded(d) {
+                        ctx.redirect_read(d, ext.offset, ext.bytes, user_id)
+                            .expect("double faults are suppressed: the mirror is live")
+                    } else {
+                        let id = ctx.submit(
+                            d,
+                            IoKind::Read,
+                            ext.offset,
+                            ext.bytes,
+                            Priority::Foreground,
+                        );
+                        ctx.tag_io(id, user_id, LegFlavor::Transfer);
+                        id
+                    };
                     self.io_map.insert(id, Tag::User(user_id, uslot));
-                    ctx.tag_io(id, user_id, flavor);
                     subs += 1;
                 }
             }
@@ -983,16 +989,9 @@ impl Policy for RoloPolicy {
         // copy).
         if req.kind == IoKind::Read && (outcome == IoOutcome::MediaError || ctx.is_degraded(disk)) {
             if let Some(Tag::User(user, uslot)) = self.io_map.get(&req.id).copied() {
-                if let Some(p) =
-                    surviving_partner(ctx.geometry(), disk).filter(|&p| !ctx.is_degraded(p))
-                {
+                if let Some(id) = ctx.redirect_read(disk, req.offset, req.bytes, user) {
                     self.io_map.remove(&req.id);
-                    ctx.note_redirect();
-                    ctx.emit(|| SimEvent::ReadRedirected { from: disk, to: p });
-                    let id =
-                        ctx.submit(p, IoKind::Read, req.offset, req.bytes, Priority::Foreground);
                     self.io_map.insert(id, Tag::User(user, uslot));
-                    ctx.tag_io(id, user, LegFlavor::DegradedRedirect);
                     return;
                 }
             }

@@ -16,7 +16,6 @@
 use crate::cache::BlockCache;
 use crate::ctx::SimCtx;
 use crate::dirty::DirtyMap;
-use crate::faults::surviving_partner;
 use crate::journal::{PendingAppend, PolicyLog, ALL_JOURNALS};
 use crate::logspace::LoggerSpace;
 use crate::policy::{Policy, PolicyStats};
@@ -24,7 +23,7 @@ use crate::recovery::recovery_plan;
 use crate::slot::IoSlot;
 use rolo_disk::{DiskId, DiskRequest, IoKind, IoOutcome, Priority};
 use rolo_metrics::Phase;
-use rolo_obs::{LegFlavor, SimEvent};
+use rolo_obs::{BgSpanKind, LegFlavor, SimEvent};
 use rolo_sim::{Duration, IoMap};
 use rolo_trace::{ReqKind, TraceRecord};
 
@@ -242,7 +241,7 @@ impl RoloEPolicy {
         // The centralized cycle spins everything up and destages every
         // pair in parallel: cover the whole array.
         let all: Vec<DiskId> = (0..ctx.disk_count()).collect();
-        ctx.span_destage_begin(None, &all);
+        ctx.span_begin(BgSpanKind::Destage, None, &all);
         let energy = ctx.total_energy();
         if let Some(tok) = self.logging_token.take() {
             ctx.intervals
@@ -307,7 +306,7 @@ impl RoloEPolicy {
         self.mode = Mode::Logging;
         self.period += 1;
         ctx.emit(|| SimEvent::DestageEnd { pair: None });
-        ctx.span_destage_end(None);
+        ctx.span_end(BgSpanKind::Destage, None);
         // Advance the whole on-duty window by its width so successive
         // cycles visit disjoint pair sets round-robin.
         let n = self.pairs;
@@ -627,16 +626,9 @@ impl Policy for RoloEPolicy {
                     && (outcome == IoOutcome::MediaError || ctx.is_degraded(disk)) =>
             {
                 // The mirrored copy serves the read the failed slot lost.
-                if let Some(p) =
-                    surviving_partner(ctx.geometry(), disk).filter(|&p| !ctx.is_degraded(p))
-                {
+                if let Some(id) = ctx.redirect_read(disk, req.offset, req.bytes, user) {
                     self.io_map.remove(&req.id);
-                    ctx.note_redirect();
-                    ctx.emit(|| SimEvent::ReadRedirected { from: disk, to: p });
-                    let id =
-                        ctx.submit(p, IoKind::Read, req.offset, req.bytes, Priority::Foreground);
                     self.io_map.insert(id, Tag::User(user, uslot));
-                    ctx.tag_io(id, user, LegFlavor::DegradedRedirect);
                     return;
                 }
                 self.on_io_complete(ctx, disk, req);

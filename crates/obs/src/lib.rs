@@ -4,10 +4,10 @@
 //!
 //! The simulator core stays agnostic of *how* events are consumed: every
 //! instrumented layer (driver, controllers, fault injection, rebuild)
-//! emits [`SimEvent`]s into a [`TraceSink`] owned by the simulation
-//! context. The default sink is [`NullSink`], so an untraced run pays a
-//! single predicted branch per emit point and never constructs the event
-//! value. Swapping in a [`RingSink`] captures the most recent events in a
+//! emits [`SimEvent`]s into a [`TraceSink`] owned by the run's
+//! observer (`rolo_core::observe`). The default sink is [`NullSink`],
+//! so an untraced run pays a single predicted branch per emit point and
+//! never constructs the event value. Swapping in a [`RingSink`] captures the most recent events in a
 //! bounded ring buffer for post-mortem analysis (see the `trace_dump`
 //! binary in `rolo-bench`).
 //!

@@ -1,9 +1,9 @@
 //! Trace sinks: where emitted [`SimEvent`]s go.
 //!
-//! The simulation context owns one `Box<dyn TraceSink>`. Emit points
-//! check [`TraceSink::enabled`] once (cached as a bool on the context),
-//! so with the default [`NullSink`] the hot path pays a single predicted
-//! branch and never constructs the event value.
+//! Each run's observer owns one `Box<dyn TraceSink>`. Emit points
+//! check [`TraceSink::enabled`] once (cached as a bool on the
+//! observer), so with the default [`NullSink`] the hot path pays a
+//! single predicted branch and never constructs the event value.
 
 use crate::event::{SimEvent, TracedEvent};
 use rolo_sim::SimTime;
