@@ -10,11 +10,12 @@
 //! background spans, the telemetry snapshot, the SLO alerts, the tail
 //! exemplars and the RCA report. Every cell also asserts that the
 //! mechanism it pins actually ran, so a change in configuration
-//! defaults cannot quietly make a pin vacuous.
+//! defaults cannot quietly make a pin vacuous, and that every retained
+//! request span and exemplar span copy holds no allocation slack.
 
 use rolo_bench::fnv1a_hex;
 use rolo_core::{run_scheme_observed, FaultPlan, RunObservations, Scheme, SimConfig, SimReport};
-use rolo_obs::{BgSpanKind, RingSink};
+use rolo_obs::{BgSpanKind, RequestSpan, RingSink};
 use rolo_sim::Duration;
 use rolo_trace::{profiles, TraceProfile};
 use serde::Serialize;
@@ -68,6 +69,13 @@ fn observe(
     assert!(!events.is_empty(), "{}: no events", report.scheme);
     let spans = obs.spans.as_ref().expect("rca forces spans on");
     spans.validate().expect("span invariants hold");
+    for span in &spans.requests {
+        assert_exact_capacity(span, &report.scheme);
+    }
+    let exemplars = obs.exemplars.as_ref().expect("rca implies exemplars");
+    for ex in exemplars.windows.iter().flat_map(|w| &w.spans) {
+        assert_exact_capacity(&ex.span, &report.scheme);
+    }
     let rca = obs.rca.as_ref().expect("rca_enabled populates the report");
     rca.check().expect("blame conservation holds");
     let digests = Digests {
@@ -76,10 +84,31 @@ fn observe(
         background: json(&spans.background),
         telemetry: json(obs.telemetry.as_ref().expect("telemetry on")),
         alerts: json(&obs.slo_alerts),
-        exemplars: json(obs.exemplars.as_ref().expect("rca implies exemplars")),
+        exemplars: json(exemplars),
         rca: json(rca),
     };
     (report, obs, digests)
+}
+
+/// Asserts that `span`'s legs, and each leg's slices, sit at exactly
+/// their length: a forensics run retains every finished span, so any
+/// slack is multiplied by the request count.
+fn assert_exact_capacity(span: &RequestSpan, scheme: &str) {
+    assert_eq!(
+        span.legs.capacity(),
+        span.legs.len(),
+        "{scheme}: span {} legs",
+        span.id
+    );
+    for leg in &span.legs {
+        assert_eq!(
+            leg.slices.capacity(),
+            leg.slices.len(),
+            "{scheme}: span {} leg {} slices",
+            span.id,
+            leg.io
+        );
+    }
 }
 
 fn bg_count(obs: &RunObservations, kind: BgSpanKind) -> usize {

@@ -216,13 +216,16 @@ impl ExemplarRecorder {
                 return;
             }
         }
-        let mut disks: Vec<DiskId> = span.legs.iter().map(|l| l.disk).collect();
-        disks.sort_unstable();
-        disks.dedup();
-        let disk_states = disks
-            .into_iter()
-            .filter_map(|d| power.get(d).map(|&s| (d, s)))
-            .collect();
+        // Sorted by disk id, each disk once, as the field promises.
+        let mut disk_states: Vec<(DiskId, PowerState)> = Vec::with_capacity(span.legs.len());
+        for leg in &span.legs {
+            if let (Err(i), Some(&state)) = (
+                disk_states.binary_search_by_key(&leg.disk, |&(d, _)| d),
+                power.get(leg.disk),
+            ) {
+                disk_states.insert(i, (leg.disk, state));
+            }
+        }
         let ex = ExemplarSpan {
             rid,
             kind: span.kind,
@@ -345,6 +348,32 @@ mod tests {
         let set = rec.finish();
         let windows: Vec<u64> = set.windows.iter().map(|x| x.window).collect();
         assert_eq!(windows, vec![3, 4], "only the freshest two windows kept");
+    }
+
+    #[test]
+    fn disk_states_are_sorted_distinct_and_known() {
+        let mut s = span(1, 0, 100);
+        for (io, disk) in [(10, 5), (11, 2), (12, 5), (13, 9)] {
+            s.legs.push(crate::span::SpanLeg {
+                io,
+                disk,
+                submit: s.begin,
+                start: s.begin,
+                end: s.end,
+                slices: Vec::new(),
+                delayed_by: None,
+            });
+        }
+        let mut power = [PowerState::Idle; 6];
+        power[5] = PowerState::Standby;
+        let mut rec = ExemplarRecorder::new(1, Duration::from_secs(60), 1);
+        rec.observe(s.end, &s, &critical_path(&s), &power);
+        let set = rec.finish();
+        // Disk 9 lies beyond the power cache and is skipped.
+        assert_eq!(
+            set.windows[0].spans[0].disk_states,
+            vec![(2, PowerState::Idle), (5, PowerState::Standby)]
+        );
     }
 
     #[test]

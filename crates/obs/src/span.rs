@@ -20,10 +20,9 @@
 
 use rolo_disk::{DiskId, ServiceBreakdown};
 use rolo_metrics::QuantileSketch;
-use rolo_sim::{Duration, SimTime};
+use rolo_sim::{Duration, IoMap, SimTime};
 use rolo_trace::ReqKind;
 use serde::Serialize;
-use std::collections::HashMap;
 
 /// Number of typed phases ([`Phase::ALL`] has one entry per phase).
 pub const NUM_PHASES: usize = 11;
@@ -272,17 +271,22 @@ pub struct BgSpan {
 ///
 /// The collector is only ever touched when span recording is on; the
 /// simulation itself never reads it, so it cannot perturb outcomes.
+///
+/// Finished spans are kept until [`SpanCollector::into_finished`], so
+/// each is built at exact capacity. The maps are keyed by
+/// simulator-allocated ids and hash with [`rolo_sim::IdHasher`] rather
+/// than a per-process random SipHash.
 #[derive(Debug, Default)]
 pub struct SpanCollector {
-    open: HashMap<u64, RequestSpan>,
-    io_tags: HashMap<u64, (u64, LegFlavor)>,
+    open: IoMap<RequestSpan>,
+    io_tags: IoMap<(u64, LegFlavor)>,
     finished: Vec<RequestSpan>,
-    bg_open: HashMap<u64, BgSpan>,
+    bg_open: IoMap<BgSpan>,
     bg_finished: Vec<BgSpan>,
-    /// disk → ids of the background spans open on it, oldest first.
-    /// Spans can overlap on a disk (a rebuild inside a whole-array
-    /// destage), so closing one must uncover the next.
-    bg_by_disk: HashMap<DiskId, Vec<u64>>,
+    /// Indexed by disk: ids of the background spans open on it, oldest
+    /// first. Spans can overlap on a disk (a rebuild inside a
+    /// whole-array destage), so closing one must uncover the next.
+    bg_by_disk: Vec<Vec<u64>>,
     next_bg_id: u64,
 }
 
@@ -327,12 +331,6 @@ impl SpanCollector {
         let Some(span) = self.open.get_mut(&user) else {
             return;
         };
-        let mut slices = Vec::with_capacity(4);
-        let mut push = |phase: Phase, d: Duration| {
-            if !d.is_zero() {
-                slices.push(PhaseSlice { phase, duration: d });
-            }
-        };
         // Interference is typed by its cause: waiting behind a
         // compaction transfer lands in `Compaction`, behind a scrub
         // chunk in `ScrubInterference`, everything else (destage,
@@ -342,7 +340,7 @@ impl SpanCollector {
         let bg_id = if b.bg_interference.is_zero() {
             None
         } else {
-            self.bg_by_disk.get(&disk).and_then(|s| s.last()).copied()
+            self.bg_by_disk.get(disk).and_then(|s| s.last()).copied()
         };
         let interference_phase = match bg_id.and_then(|i| self.bg_open.get(&i)) {
             Some(bg) if bg.kind == BgSpanKind::Compaction => Phase::Compaction,
@@ -352,16 +350,29 @@ impl SpanCollector {
         // Temporal order: the spindle comes up first, then the media
         // drains background + earlier foreground work, then this
         // transfer positions and runs.
-        push(Phase::SpinUpStall, b.spinup_stall);
-        push(interference_phase, b.bg_interference);
-        push(Phase::QueueWait, b.queue_wait());
-        push(Phase::Seek, b.seek);
-        push(Phase::Rotation, b.rotation);
-        push(flavor.phase(), b.transfer);
+        let parts = [
+            (Phase::SpinUpStall, b.spinup_stall),
+            (interference_phase, b.bg_interference),
+            (Phase::QueueWait, b.queue_wait()),
+            (Phase::Seek, b.seek),
+            (Phase::Rotation, b.rotation),
+            (flavor.phase(), b.transfer),
+        ];
+        // Finished spans are retained, so size the leg exactly: count
+        // the non-zero phases before allocating, and grow the legs by
+        // one (most spans have a single leg).
+        let live = parts.iter().filter(|(_, d)| !d.is_zero()).count();
+        let mut slices = Vec::with_capacity(live);
+        for (phase, duration) in parts {
+            if !duration.is_zero() {
+                slices.push(PhaseSlice { phase, duration });
+            }
+        }
         let delayed_by = bg_id;
         if let Some(bg) = bg_id.and_then(|i| self.bg_open.get_mut(&i)) {
             bg.delayed.push(user);
         }
+        span.legs.reserve_exact(1);
         span.legs.push(SpanLeg {
             io,
             disk,
@@ -404,7 +415,10 @@ impl SpanCollector {
             },
         );
         for &d in disks {
-            self.bg_by_disk.entry(d).or_default().push(id);
+            if self.bg_by_disk.len() <= d {
+                self.bg_by_disk.resize_with(d + 1, Vec::new);
+            }
+            self.bg_by_disk[d].push(id);
         }
         id
     }
@@ -415,10 +429,9 @@ impl SpanCollector {
             span.end = Some(at);
             self.bg_finished.push(span);
         }
-        self.bg_by_disk.retain(|_, open| {
+        for open in &mut self.bg_by_disk {
             open.retain(|&id| id != bg);
-            !open.is_empty()
-        });
+        }
     }
 
     /// Consumes the collector, returning finished request spans (in
@@ -894,6 +907,89 @@ mod tests {
         assert_eq!(s.requests, 10);
         assert!((s.mean_response_ms - 1.0).abs() < 1e-9);
         assert!(s.p95_ms.is_some());
+    }
+
+    /// Asserts that `span` holds no allocation slack: its legs and
+    /// every leg's slices sit at exactly their length.
+    fn assert_exact(span: &RequestSpan) {
+        assert_eq!(
+            span.legs.capacity(),
+            span.legs.len(),
+            "span {} legs",
+            span.id
+        );
+        for leg in &span.legs {
+            assert_eq!(
+                leg.slices.capacity(),
+                leg.slices.len(),
+                "span {} leg {} slices",
+                span.id,
+                leg.io
+            );
+        }
+    }
+
+    #[test]
+    fn one_leg_span_is_retained_at_exact_capacity() {
+        let mut c = SpanCollector::new();
+        c.open_request(1, ReqKind::Read, SimTime::ZERO);
+        c.tag_io(10, 1, LegFlavor::Transfer);
+        c.record_leg(10, 0, &breakdown(10, 0, 40, 100, 10, 0, 0, 0));
+        c.close_request(1, SimTime::from_micros(100));
+        let (spans, _) = c.into_finished();
+        assert_eq!(spans[0].legs.len(), 1);
+        assert_eq!(spans[0].legs[0].slices.len(), 3);
+        assert_exact(&spans[0]);
+    }
+
+    #[test]
+    fn late_tagged_leg_keeps_exact_capacity() {
+        // The degraded-redirect order: two legs are tagged and the first
+        // completes before the third (the redirect) is even tagged.
+        let mut c = SpanCollector::new();
+        c.open_request(2, ReqKind::Read, SimTime::ZERO);
+        c.tag_io(20, 2, LegFlavor::Transfer);
+        c.tag_io(21, 2, LegFlavor::MirrorCopy);
+        c.record_leg(20, 0, &breakdown(20, 0, 0, 50, 0, 0, 0, 0));
+        c.tag_io(22, 2, LegFlavor::DegradedRedirect);
+        c.record_leg(21, 1, &breakdown(21, 0, 30, 90, 10, 20, 0, 0));
+        c.record_leg(22, 1, &breakdown(22, 50, 90, 150, 5, 5, 0, 0));
+        c.close_request(2, SimTime::from_micros(150));
+        let (spans, _) = c.into_finished();
+        spans[0].validate().expect("invariants hold");
+        assert_eq!(spans[0].legs.len(), 3);
+        assert_exact(&spans[0]);
+    }
+
+    #[test]
+    fn six_nonzero_phases_keep_temporal_order() {
+        let mut c = SpanCollector::new();
+        let bg = c.begin_bg(BgSpanKind::Destage, &[3], SimTime::ZERO);
+        c.open_request(5, ReqKind::Write, SimTime::ZERO);
+        c.tag_io(50, 5, LegFlavor::LogAppend);
+        // 10 µs stall + 20 µs interference + 30 µs queueing before the
+        // transfer starts at 60; then 5 seek, 7 rotation, 8 transfer.
+        c.record_leg(50, 3, &breakdown(50, 0, 60, 80, 5, 7, 10, 20));
+        c.close_request(5, SimTime::from_micros(80));
+        c.end_bg(bg, SimTime::from_micros(90));
+        let (spans, _) = c.into_finished();
+        assert_exact(&spans[0]);
+        let got: Vec<(Phase, u64)> = spans[0].legs[0]
+            .slices
+            .iter()
+            .map(|s| (s.phase, s.duration.as_micros()))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (Phase::SpinUpStall, 10),
+                (Phase::DestageInterference, 20),
+                (Phase::QueueWait, 30),
+                (Phase::Seek, 5),
+                (Phase::Rotation, 7),
+                (Phase::LogAppend, 8),
+            ]
+        );
     }
 
     #[test]
